@@ -130,13 +130,9 @@ void BM_GraphConstruction(benchmark::State& state) {
 BENCHMARK(BM_GraphConstruction);
 
 /// Isolates the engine's shuffle: a round with trivial map/reduce work so
-/// that grouping 4M key-value pairs dominates. Arg 0 selects the shuffle
-/// (0 = sort, 1 = partitioned), arg 1 the partitioned shuffle's grouping
-/// (0 = stable_sort, 1 = counting scatter — the keys are dense in a
-/// declared 2^16 key space, the counting path's home turf), under
-/// ExecutionPolicy::MaxParallel(). The sort-vs-partitioned gap is the cost
-/// of the sort shuffle's serial O(C log C) barrier; the sort-group vs
-/// counting gap is the per-partition O(n log n) -> O(n) grouping win.
+/// that scattering and grouping 4M key-value pairs dominates, under
+/// ExecutionPolicy::MaxParallel(). The keys are dense in a declared 2^16
+/// key space, so every partition takes the counting scatter.
 void BM_EngineShuffle(benchmark::State& state) {
   const size_t n = 1 << 20;
   std::vector<int> inputs(n);
@@ -156,11 +152,7 @@ void BM_EngineShuffle(benchmark::State& state) {
   // shuffle paths (not the serial fallback) are what gets measured.
   const ExecutionPolicy policy =
       ExecutionPolicy::WithThreads(
-          std::max(2u, ExecutionPolicy::MaxParallel().num_threads))
-          .WithShuffle(state.range(0) == 0 ? ShuffleMode::kSort
-                                           : ShuffleMode::kPartitioned)
-          .WithGroup(state.range(1) == 0 ? GroupMode::kSort
-                                         : GroupMode::kCounting);
+          std::max(2u, ExecutionPolicy::MaxParallel().num_threads));
   const RoundSpec<int, int> round{"shuffle-bench", map_fn, reduce_fn,
                                   key_space, {}};
   for (auto _ : state) {
@@ -169,11 +161,7 @@ void BM_EngineShuffle(benchmark::State& state) {
         driver.RunRound(round, inputs, nullptr).distinct_keys);
   }
 }
-BENCHMARK(BM_EngineShuffle)
-    ->ArgNames({"partitioned", "counting"})
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({1, 1});
+BENCHMARK(BM_EngineShuffle);
 
 /// Latency of waking the persistent pool for one parallel phase (the
 /// per-phase overhead a multi-round job pays after its first phase

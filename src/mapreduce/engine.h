@@ -9,7 +9,6 @@
 #include "mapreduce/process_backend.h"
 #include "mapreduce/round.h"
 #include "mapreduce/shuffle_backend.h"
-#include "mapreduce/shuffle_spill_backend.h"
 #include "mapreduce/spill.h"
 
 namespace smr {
@@ -31,9 +30,9 @@ namespace smr {
 ///                   |             shuffle backend per round from the policy
 ///                   v
 ///   ShuffleBackend (mapreduce/shuffle_backend.h) -- transport/shuffle:
-///       sort | partitioned        in-memory (same header)
-///       spill                     paged spill store
-///                                 (mapreduce/shuffle_spill_backend.h)
+///       in-memory                 partitioned, spilling to the paged
+///                                 spill store under a budget
+///                                 (same header, mapreduce/spill.h)
 ///       process                   forked workers over codec-framed sockets
 ///                                 (mapreduce/process_backend.h)
 ///                   |
@@ -53,7 +52,7 @@ namespace smr {
 /// is fully deterministic — values arrive at each reducer in mapper
 /// emission order, reducers run in ascending key order — and metrics and
 /// sink emissions are byte-identical to the serial engine for every thread
-/// count, worker count, shuffle mode, partition count, and budget. Map and
+/// count, worker count, partition count, and budget. Map and
 /// reduce callbacks must therefore be re-entrant: they may mutate only
 /// their own locals and the ReduceContext/Emitter they are handed, never
 /// shared captured state. One narrow exception for reducers: because each
@@ -91,37 +90,32 @@ namespace smr {
 
 /// Selects the one shuffle backend a round runs on, from the policy:
 ///
-///   1. process  — policy.backend == BackendMode::kProcess and the value
-///                 type is codec-encodable (it must cross a process
-///                 boundary);
-///   2. spill    — a nonzero shuffle_budget_bytes and a spillable value
-///                 type: both in-memory modes routed through the paged
-///                 spill store;
-///   3. sort     — single-threaded rounds and ShuffleMode::kSort;
-///   4. partitioned — everything else (the parallel default).
+///   1. process   — policy.backend == BackendMode::kProcess and the value
+///                  type is codec-encodable (it must cross a process
+///                  boundary);
+///   2. in-memory — everything else, at every thread count, partition
+///                  count, and budget.
 ///
 /// Backends are stateless const singletons per (Input, Value)
 /// instantiation; the reference stays valid for the program's lifetime.
 template <typename Input, typename Value>
 const ShuffleBackend<Input, Value>& SelectShuffleBackend(
-    const ExecutionPolicy& policy) {
+    [[maybe_unused]] const ExecutionPolicy& policy) {
   if constexpr (RecordCodec<Value>::kEncodable) {
     if (policy.backend == BackendMode::kProcess) {
       static const ProcessShuffleBackend<Input, Value> process;
       return process;
     }
   }
-  // The in-memory tiers (spill/sort/partitioned) live with the spill
-  // backend so the process backend's thread fallback can select them
-  // without a dependency cycle through this header.
-  return SelectInMemoryShuffleBackend<Input, Value>(policy);
+  static const InMemoryShuffleBackend<Input, Value> in_memory;
+  return in_memory;
 }
 
 /// Runs one declared round. `sink` receives the reducers' final instances
 /// (EmitInstance), `records` the intermediate records (EmitRecord) a
 /// multi-round pipeline threads into its next round; either may be null.
 /// `policy` selects the host-side scheduling; results are identical for
-/// every thread count, shuffle mode, partition count, and grouping mode.
+/// every thread count, partition count, budget, and backend.
 /// `expected_pairs` is a host-side reservation hint for the round's total
 /// emission count (0 = none; the spec's own `emissions_per_input` hint
 /// takes precedence) — a JobDriver passes the previous round's shipped

@@ -14,9 +14,10 @@ namespace smr {
 /// running with 0). Specs:
 ///
 ///   threads  "N"               0 = one per hardware context
-///   shuffle  "partition[:P]"   P = partition count (default auto)
-///            "sort"            the single-global-sort reference
-///   group    "auto" | "counting" | "sort"
+///   shuffle  "partition[:P]"   P = partition count (default auto); the
+///                              removed "sort" mode throws
+///   group    "auto"            the only grouping (by key density); the
+///                              removed "counting"/"sort" modes throw
 ///   combine  "on" | "off"
 ///   budget   "0" | "BYTES"     shuffle memory budget; byte-size suffixes
 ///            ("64K", "512M", "2G") accepted, 0 = unbounded (never spill)
@@ -42,8 +43,9 @@ ExecutionPolicy PolicyFromSpecs(std::string_view threads,
                                 std::string_view deadline_ms = "",
                                 std::string_view on_exhausted = "fail");
 
-/// One-line human-readable summary ("4 threads, partitioned shuffle
-/// (16 partitions, auto grouping), combine on").
+/// One-line human-readable summary of what runs ("4 threads, 16
+/// partitions, combine on, budget 65536 bytes"; the partition count is
+/// left out for the process backend, which does not use it).
 std::string DescribePolicy(const ExecutionPolicy& policy);
 
 }  // namespace smr

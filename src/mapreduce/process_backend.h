@@ -22,7 +22,6 @@
 #include "mapreduce/fault_injection.h"
 #include "mapreduce/round.h"
 #include "mapreduce/shuffle_backend.h"
-#include "mapreduce/shuffle_spill_backend.h"
 #include "mapreduce/spill.h"
 #include "mapreduce/worker_error.h"
 
@@ -218,7 +217,7 @@ class FrameSink final : public InstanceSink {
 ///   * Escalation. A slot that exhausts max_attempts throws WorkerError
 ///     (mapreduce/worker_error.h) naming the fault kind, role, worker,
 ///     and attempt count. Under OnExhausted::kFallbackThread the round is
-///     rerun on the in-memory backend the policy would otherwise select
+///     rerun on the in-memory backend (InMemoryShuffleBackend)
 ///     instead — nothing has been emitted yet (reduce output is replayed
 ///     only after every worker succeeds), so the fallback cannot
 ///     duplicate emissions (ShuffleStats::thread_fallbacks records it).
@@ -292,12 +291,12 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
     } catch (const WorkerError&) {
       if (policy.on_exhausted != OnExhausted::kFallbackThread) throw;
       // Graceful degradation: rerun the whole round on the in-memory
-      // backend the policy would select without BackendMode::kProcess.
+      // backend, under the same policy.
       // Safe against duplication because the process round emits nothing
       // until every worker has succeeded; identical by the backends'
       // shared determinism contract.
       MapReduceMetrics metrics =
-          SelectInMemoryShuffleBackend<Input, Value>(policy).RunRound(
+          InMemoryShuffleBackend<Input, Value>().RunRound(
               spec, inputs, sink, records, policy, expected_pairs);
       metrics.shuffle.worker_retries = counters.retries;
       metrics.shuffle.frames_discarded = counters.discarded;
@@ -344,10 +343,10 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
         engine_internal::SliceBoundaries(inputs.size(), map_workers);
 
     // Pairs land in one SpillChannel per link, charged against the
-    // policy's shuffle budget exactly as the spill backend's map workers
-    // would be. A channel belongs to one *attempt*: discarding a failed
-    // attempt destroys its channel (releasing pages and spill runs) and
-    // the retry fills a fresh one.
+    // policy's shuffle budget exactly as the in-memory backend's map
+    // workers would be. A channel belongs to one *attempt*: discarding a
+    // failed attempt destroys its channel (releasing pages and spill runs)
+    // and the retry fills a fresh one.
     SpillBackend* spill_backend = policy.spill_backend;
     if (injector != nullptr) {
       spill_backend = injector->WrapSpillBackend(spill_backend);
@@ -457,7 +456,7 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
 
     const auto make_merger = [&channels, map_workers] {
       // AppendSources is re-callable: spilled runs and resident tails are
-      // read-only after Finish(), so every rebuild merges the identical
+      // read-only after SortTail(0), so every rebuild merges the identical
       // stream — the determinism that makes chunk re-sends exact.
       std::vector<SpillSource<Value>> sources;
       for (unsigned t = 0; t < map_workers; ++t) {
@@ -721,7 +720,7 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
                   "trailing bytes after " + who + "'s end-of-stream frame"};
     }
     try {
-      channel->Finish();
+      channel->SortTail(0);
     } catch (const std::runtime_error& error) {
       throw Fault{WorkerErrorKind::kSpillFailure, error.what()};
     }

@@ -29,7 +29,7 @@ namespace smr {
 
 /// Routes a key to one of `partitions` contiguous, ascending key ranges.
 /// The mapping is monotone nondecreasing in the key — the invariant the
-/// partitioned shuffle's ordered replay rests on. When the round declared a
+/// in-memory shuffle's ordered replay rests on. When the round declared a
 /// key space, ranges are proportional slices of [0, key_space) (strategies
 /// keep their keys dense in the declared space precisely so this balances);
 /// keys at or above the declared space land in the last partition, which
@@ -65,8 +65,8 @@ class KeyPartitioner {
 };
 
 /// Collects the key-value pairs emitted by a mapper: either into one flat
-/// vector (serial / sort shuffle) or scattered across one bucket per
-/// destination partition (partitioned shuffle). With a combiner, repeated
+/// vector (a process-backend map worker) or scattered across one bucket per
+/// destination partition (the in-memory shuffle). With a combiner, repeated
 /// emissions of a key fold into the key's existing pair instead of
 /// appending (map-side pre-aggregation); `emitted()` still counts every
 /// logical emission, which is what the round's communication-cost metric
@@ -183,7 +183,7 @@ struct RoundSpec {
       reducer;
 
   /// Size of the reducer id space the algorithm declared; besides being
-  /// copied into the metrics it steers the partitioned shuffle's key-range
+  /// copied into the metrics it steers the in-memory shuffle's key-range
   /// split, so declare it accurately (or 0 for radix partitioning over raw
   /// 64-bit keys).
   uint64_t key_space = 0;

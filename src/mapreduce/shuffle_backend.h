@@ -4,12 +4,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "mapreduce/group_by_key.h"
 #include "mapreduce/round.h"
+#include "mapreduce/spill.h"
 
 namespace smr {
 
@@ -17,20 +20,18 @@ namespace smr {
 /// from mappers to reducers is one ShuffleBackend. All backends honor the
 /// same contract — reducers run in ascending key order, values arrive in
 /// mapper emission order, semantic metrics and sink emissions are
-/// byte-identical to the serial reference for every policy — and differ
-/// only in *how* the pairs travel: a global stable sort (SortShuffleBackend
-/// below), per-worker scatter into key-range partitions
-/// (PartitionedShuffleBackend below), a paged spill store
-/// (mapreduce/shuffle_spill_backend.h), or codec-framed sockets between
-/// forked worker processes (mapreduce/process_backend.h). engine.h's
-/// RunRound selects a backend from the ExecutionPolicy; nothing else
-/// instantiates one.
+/// byte-identical for every policy — and differ only in *how* the pairs
+/// travel: through this process's memory, spilling to temp files under a
+/// budget (InMemoryShuffleBackend below), or as codec-framed records over
+/// sockets between forked worker processes (mapreduce/process_backend.h).
+/// engine.h's RunRound selects a backend from the ExecutionPolicy;
+/// nothing else instantiates one.
 template <typename Input, typename Value>
 class ShuffleBackend {
  public:
   virtual ~ShuffleBackend() = default;
 
-  /// Stable display name ("sort", "partitioned", "spill", "process").
+  /// Stable display name ("in-memory", "process").
   virtual const char* name() const = 0;
 
   /// Runs one declared round. `expected_pairs` is a reservation hint for
@@ -53,17 +54,78 @@ inline uint64_t ClampCombined(bool combining, uint64_t key_space, uint64_t n) {
   return (combining && key_space > 0) ? std::min(n, key_space) : n;
 }
 
+/// Streaming twin of ReduceRange for spilled partitions: consumes one
+/// partition's pairs in grouped order from a SpillMerger (ascending key,
+/// emission order within a key) instead of a materialized vector, so peak
+/// memory is one key group plus the merger's page buffers. Metrics, sink
+/// emissions, and combiner folding are computed exactly as in ReduceRange
+/// — the merged stream is the same sequence the resident path reduces.
+template <typename Value>
+void ReduceStream(
+    SpillMerger<Value>* merger,
+    const std::function<void(uint64_t key, std::span<const Value>,
+                             ReduceContext*)>& reduce_fn,
+    const std::function<void(Value&, const Value&)>* combiner,
+    InstanceSink* sink, InstanceSink* records, MapReduceMetrics* metrics) {
+  std::vector<Value> group;
+  uint64_t key = 0;
+  Value value{};
+  bool pending = merger->Next(&key, &value);
+  while (pending) {
+    const uint64_t current = key;
+    group.clear();
+    if (combiner != nullptr) {
+      Value accumulated = value;
+      while ((pending = merger->Next(&key, &value)) && key == current) {
+        (*combiner)(accumulated, value);
+      }
+      group.push_back(accumulated);
+    } else {
+      group.push_back(value);
+      while ((pending = merger->Next(&key, &value)) && key == current) {
+        group.push_back(value);
+      }
+    }
+    ++metrics->distinct_keys;
+    metrics->max_reducer_input =
+        std::max<uint64_t>(metrics->max_reducer_input, group.size());
+    ReduceContext context{&metrics->reduce_cost, sink, records, 0};
+    reduce_fn(current, std::span<const Value>(group), &context);
+    metrics->outputs += context.outputs;
+  }
+}
+
 }  // namespace engine_internal
 
-/// The original engine and the reference the parallel paths are checked
-/// against: all emissions are concatenated into one vector and grouped by
-/// a single global stable sort — a serial O(C log C) barrier between the
-/// phases. Also runs every single-threaded round regardless of the
-/// policy's declared shuffle mode.
+/// The one in-process shuffle. Each map worker scatters its slice's
+/// emissions into its SpillChannel's P per-partition buckets (partition =
+/// the key's position in [0, key_space), or the key's high bits when
+/// key_space is 0; P = 1 for single-threaded rounds unless the policy sets
+/// shuffle_partitions). Partitions are then drained from a dynamic queue,
+/// and each one takes the path its own state calls for:
+///
+///   * resident (no channel spilled a run for it — always the case with
+///     budget 0): GroupByKey over the per-worker buckets in worker order,
+///     a counting scatter when the key range is dense and a stable_sort
+///     otherwise (group_by_key.h), then ReduceRange;
+///   * spilled: each worker's resident tail is stable-sorted and merged
+///     with that worker's runs by a stable k-way SpillMerger, streamed
+///     through ReduceStream.
+///
+/// With budget 0 the emitters never see the channels' accounting — no
+/// per-append PagePool charge, nothing ever spills. With a budget, every
+/// append is charged against the job's PagePool and a channel spills
+/// sorted runs whenever the pool is over budget (mapreduce/spill.h).
+/// Both paths yield the stable sort of the worker-order concatenation,
+/// and partitions cover ascending disjoint key ranges, so replaying the
+/// per-partition results in partition order reproduces the serial round
+/// exactly, whatever the thread count, partition count, or budget. A
+/// Value the spill store cannot serialize (SpillTraits<V>::kSpillable ==
+/// false) ignores the budget.
 template <typename Input, typename Value>
-class SortShuffleBackend final : public ShuffleBackend<Input, Value> {
+class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
  public:
-  const char* name() const override { return "sort"; }
+  const char* name() const override { return "in-memory"; }
 
   MapReduceMetrics RunRound(const RoundSpec<Input, Value>& spec,
                             std::span<const Input> inputs, InstanceSink* sink,
@@ -72,6 +134,7 @@ class SortShuffleBackend final : public ShuffleBackend<Input, Value> {
                             uint64_t expected_pairs) const override {
     using Pair = std::pair<uint64_t, Value>;
     using CombineFn = typename Emitter<Value>::CombineFn;
+    constexpr bool kSpillable = SpillTraits<Value>::kSpillable;
     MapReduceMetrics metrics;
     metrics.input_records = inputs.size();
     metrics.key_space = spec.key_space;
@@ -81,215 +144,92 @@ class SortShuffleBackend final : public ShuffleBackend<Input, Value> {
     const auto& map_fn = spec.mapper;
     const auto& reduce_fn = spec.reducer;
     const unsigned map_threads = policy.EffectiveThreads(inputs.size());
-    const auto clamped = [&](uint64_t n) {
-      return engine_internal::ClampCombined(combiner != nullptr,
-                                            spec.key_space, n);
-    };
-
-    // Map phase. Each worker maps a contiguous input slice into a private
-    // pair vector; concatenating the slices in order reproduces the serial
-    // emission order exactly.
-    std::vector<Pair> pairs;
-    uint64_t logical_pairs = 0;
-    if (map_threads <= 1) {
-      const size_t expected = clamped(expected_pairs);
-      if (expected > 0) pairs.reserve(expected);
-      Emitter<Value> emitter(&pairs, combiner, expected);
-      for (const Input& input : inputs) {
-        map_fn(input, &emitter);
-      }
-      logical_pairs = emitter.emitted();
-    } else {
-      const std::vector<size_t> bounds =
-          engine_internal::SliceBoundaries(inputs.size(), map_threads);
-      std::vector<std::vector<Pair>> slices(map_threads);
-      std::vector<uint64_t> slice_logical(map_threads, 0);
-      engine_internal::RunWorkers(policy, map_threads, [&](size_t t) {
-        const size_t expected = clamped(expected_pairs / map_threads);
-        if (expected > 0) slices[t].reserve(expected + 1);
-        Emitter<Value> emitter(&slices[t], combiner, expected);
-        for (size_t i = bounds[t]; i < bounds[t + 1]; ++i) {
-          map_fn(inputs[i], &emitter);
-        }
-        slice_logical[t] = emitter.emitted();
-      }, &metrics.shuffle);
-      size_t total = 0;
-      for (const auto& slice : slices) total += slice.size();
-      pairs.reserve(total);
-      for (auto& slice : slices) {
-        std::move(slice.begin(), slice.end(), std::back_inserter(pairs));
-      }
-      for (const uint64_t n : slice_logical) logical_pairs += n;
-    }
-    engine_internal::CountMapPhase<Value>(logical_pairs, pairs.size(),
-                                          &metrics);
-
-    // A round whose mappers emitted nothing has nothing to sort, no
-    // reducers to run, and no workers worth dispatching.
-    if (pairs.empty()) return metrics;
-
-    // Shuffle: group by key, preserving emission order within a key.
-    std::stable_sort(
-        pairs.begin(), pairs.end(),
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    // Reduce phase.
-    const unsigned reduce_threads = policy.EffectiveThreads(pairs.size());
-    if (reduce_threads <= 1) {
-      engine_internal::ReduceRange(pairs, 0, pairs.size(), reduce_fn,
-                                   combiner, sink, records, &metrics);
-      return metrics;
-    }
-
-    // Partition the sorted pairs into contiguous chunks aligned to key
-    // boundaries, balanced by pair count. Chunk t covers a key range
-    // strictly below chunk t+1's, so replaying shard outputs in chunk order
-    // restores the serial ascending-key emission order.
-    std::vector<size_t> starts;
-    starts.reserve(reduce_threads);
-    const size_t target =
-        (pairs.size() + reduce_threads - 1) / reduce_threads;
-    size_t pos = 0;
-    while (pos < pairs.size()) {
-      starts.push_back(pos);
-      size_t next = std::min(pos + target, pairs.size());
-      while (next < pairs.size() &&
-             pairs[next].first == pairs[next - 1].first) {
-        ++next;
-      }
-      pos = next;
-    }
-    starts.push_back(pairs.size());
-
-    const size_t chunks = starts.size() - 1;
-    // Counting sinks don't need their emissions buffered and replayed — the
-    // shard output totals suffice — so workers run sink-less and the counts
-    // are folded in afterwards. Records are always buffered: their contents
-    // feed the next round.
-    const bool counts_only = sink != nullptr && sink->CountsOnly();
-    const bool buffered = sink != nullptr && !counts_only;
-    std::vector<MapReduceMetrics> shard_metrics(chunks);
-    std::vector<BufferingSink> shard_sinks(buffered ? chunks : 0);
-    std::vector<BufferingSink> shard_records(records != nullptr ? chunks : 0);
-    engine_internal::RunWorkers(policy, chunks, [&](size_t c) {
-      engine_internal::ReduceRange(
-          pairs, starts[c], starts[c + 1], reduce_fn, combiner,
-          buffered ? static_cast<InstanceSink*>(&shard_sinks[c]) : nullptr,
-          records != nullptr ? static_cast<InstanceSink*>(&shard_records[c])
-                             : nullptr,
-          &shard_metrics[c]);
-    }, &metrics.shuffle);
-
-    for (size_t c = 0; c < chunks; ++c) {
-      metrics.MergeReduceShard(shard_metrics[c]);
-      if (buffered) shard_sinks[c].FlushTo(sink);
-      if (records != nullptr) shard_records[c].FlushTo(records);
-    }
-    if (counts_only) sink->EmitCount(metrics.outputs);
-    return metrics;
-  }
-};
-
-/// The default parallel shuffle: each map worker scatters its emissions
-/// into P per-worker key-range buckets (partition = the key's position in
-/// [0, key_space), falling back to the key's high bits when key_space is
-/// 0). Each partition is then independently grouped by key and reduced,
-/// with partitions drained from a dynamic queue. Grouping visits a
-/// partition's per-worker buckets in worker order (the serial emission
-/// order of its key range) and is either a stable_sort of the
-/// concatenation or — when the partition's key range is dense, the normal
-/// case since strategies declare dense reducer ranks — an O(n) counting
-/// scatter (GroupMode in the policy; see group_by_key.h). Both groupings
-/// are stable, and partitions cover ascending disjoint key ranges, so
-/// merging the per-partition results in partition order replays the serial
-/// round exactly — with no global barrier vector and no serial sort.
-template <typename Input, typename Value>
-class PartitionedShuffleBackend final : public ShuffleBackend<Input, Value> {
- public:
-  const char* name() const override { return "partitioned"; }
-
-  MapReduceMetrics RunRound(const RoundSpec<Input, Value>& spec,
-                            std::span<const Input> inputs, InstanceSink* sink,
-                            InstanceSink* records,
-                            const ExecutionPolicy& policy,
-                            uint64_t expected_pairs) const override {
-    using Pair = std::pair<uint64_t, Value>;
-    using CombineFn = typename Emitter<Value>::CombineFn;
-    MapReduceMetrics metrics;
-    metrics.input_records = inputs.size();
-    metrics.key_space = spec.key_space;
-
-    const CombineFn* combiner =
-        (policy.combine && spec.combiner) ? &spec.combiner : nullptr;
-    const auto& map_fn = spec.mapper;
-    const auto& reduce_fn = spec.reducer;
-    const unsigned map_threads = policy.EffectiveThreads(inputs.size());
-    const auto clamped = [&](uint64_t n) {
-      return engine_internal::ClampCombined(combiner != nullptr,
-                                            spec.key_space, n);
-    };
-
     const unsigned partitions = policy.EffectivePartitions();
     const KeyPartitioner partitioner(partitions, spec.key_space);
     metrics.shuffle.partitions = partitions;
+    const bool bounded = kSpillable && policy.shuffle_budget_bytes > 0;
 
-    // Map phase: worker t scatters its slice's emissions into
-    // scatter[t][p], one bucket per destination partition. Within a bucket
-    // the pairs sit in the worker's emission order.
+    // The pool outlives the channels (their destructors release their
+    // resident accounting into it), and the channels outlive the reduce
+    // phase (they own the buckets, spill files, and resident tails it
+    // reads).
+    PagePool pool(bounded ? policy.shuffle_budget_bytes : 0,
+                  policy.spill_backend);
+    std::vector<std::unique_ptr<SpillChannel<Value>>> channels;
+    channels.reserve(map_threads);
+    for (unsigned t = 0; t < map_threads; ++t) {
+      channels.push_back(
+          std::make_unique<SpillChannel<Value>>(&pool, partitions));
+    }
+
+    // Map phase: worker t scatters its slice's emissions into its
+    // channel's bucket per destination partition, in emission order.
     const std::vector<size_t> bounds =
         engine_internal::SliceBoundaries(inputs.size(), map_threads);
-    std::vector<std::vector<std::vector<Pair>>> scatter(
-        map_threads, std::vector<std::vector<Pair>>(partitions));
+    const uint64_t worker_expected = engine_internal::ClampCombined(
+        combiner != nullptr, spec.key_space, expected_pairs / map_threads);
     std::vector<uint64_t> worker_logical(map_threads, 0);
     engine_internal::RunWorkers(policy, map_threads, [&](size_t t) {
-      if (expected_pairs > 0) {
-        // Spread the expected volume evenly over workers and partitions —
-        // the dense reducer ranks the strategies declare make the even
-        // split a good prior.
-        const size_t per_bucket =
-            clamped(expected_pairs / map_threads) / partitions + 1;
-        for (auto& bucket : scatter[t]) bucket.reserve(per_bucket);
+      std::vector<std::vector<Pair>>* buckets = channels[t]->buckets();
+      if (!bounded && worker_expected > 0) {
+        // Spread the expected volume evenly over partitions — the dense
+        // reducer ranks the strategies declare make the even split a good
+        // prior. Unbounded only: a reservation would evade the budget.
+        for (auto& bucket : *buckets) {
+          bucket.reserve(worker_expected / partitions + 1);
+        }
       }
-      Emitter<Value> emitter(&scatter[t], &partitioner, combiner,
-                             clamped(expected_pairs / map_threads));
+      Emitter<Value> emitter(buckets, &partitioner, combiner,
+                             bounded ? 0 : worker_expected,
+                             bounded ? channels[t].get() : nullptr);
       for (size_t i = bounds[t]; i < bounds[t + 1]; ++i) {
         map_fn(inputs[i], &emitter);
       }
       worker_logical[t] = emitter.emitted();
     }, &metrics.shuffle);
 
-    std::vector<size_t> partition_pairs(partitions, 0);
-    size_t total_pairs = 0;
+    std::vector<uint64_t> partition_pairs(partitions, 0);
+    std::vector<char> spilled(partitions, 0);
+    uint64_t total_pairs = 0;
     uint64_t logical_pairs = 0;
     for (unsigned p = 0; p < partitions; ++p) {
       for (unsigned t = 0; t < map_threads; ++t) {
-        partition_pairs[p] += scatter[t][p].size();
+        partition_pairs[p] += channels[t]->PairsInPartition(p);
+        spilled[p] |= channels[t]->HasRuns(p);
       }
       total_pairs += partition_pairs[p];
     }
     for (const uint64_t n : worker_logical) logical_pairs += n;
     engine_internal::CountMapPhase<Value>(logical_pairs, total_pairs,
                                           &metrics);
+    metrics.shuffle.pages_spilled = pool.pages_spilled();
+    metrics.shuffle.bytes_spilled = pool.bytes_spilled();
+    metrics.shuffle.spill_files = pool.spill_files();
 
     // Empty round: nothing to group, no reduce workers worth dispatching.
     if (total_pairs == 0) return metrics;
 
-    // Reduce phase: workers drain partitions from a dynamic queue. Each
-    // partition is grouped by key (counting scatter on dense key ranges,
-    // stable_sort of the worker-order concatenation otherwise — identical
-    // grouped order either way; see group_by_key.h) and reduced into
-    // partition-private metrics/sinks, so nothing below needs a lock.
-    const bool counts_only = sink != nullptr && sink->CountsOnly();
-    const bool buffered = sink != nullptr && !counts_only;
+    // Reduce phase into partition-private metrics and sinks, so nothing
+    // below needs a lock. A single reduce worker drains the partitions in
+    // ascending order and can emit straight into the round's sinks.
+    // Counting sinks don't need their emissions buffered and replayed —
+    // the partition output totals suffice. Records are always buffered
+    // when replayed: their contents feed the next round.
+    const unsigned reduce_threads =
+        std::min(policy.EffectiveThreads(total_pairs), partitions);
+    const bool direct = reduce_threads <= 1;
+    const bool counts_only =
+        !direct && sink != nullptr && sink->CountsOnly();
+    const bool buffered = !direct && sink != nullptr && !counts_only;
+    const bool replay_records = !direct && records != nullptr;
     std::vector<MapReduceMetrics> partition_metrics(partitions);
     std::vector<BufferingSink> partition_sinks(buffered ? partitions : 0);
     std::vector<BufferingSink> partition_records(
-        records != nullptr ? partitions : 0);
+        replay_records ? partitions : 0);
     // How partition p was grouped (one writer per slot: each partition is
-    // drained exactly once): 1 = counting scatter, 2 = stable_sort.
+    // drained exactly once): 1 = counting scatter, 2 = stable_sort,
+    // 0 = spill merge or empty.
     std::vector<uint8_t> partition_grouping(partitions, 0);
-    const unsigned reduce_threads =
-        std::min(policy.EffectiveThreads(total_pairs), partitions);
     std::atomic<unsigned> next_partition{0};
     engine_internal::RunWorkers(policy, reduce_threads, [&](size_t) {
       std::vector<Pair> local;
@@ -299,20 +239,33 @@ class PartitionedShuffleBackend final : public ShuffleBackend<Input, Value> {
         const unsigned p = next_partition.fetch_add(1);
         if (p >= partitions) break;
         if (partition_pairs[p] == 0) continue;
+        InstanceSink* out = direct     ? sink
+                            : buffered ? &partition_sinks[p]
+                                       : nullptr;
+        InstanceSink* out_records =
+            replay_records ? &partition_records[p] : records;
+        if constexpr (kSpillable) {
+          if (spilled[p]) {
+            std::vector<SpillSource<Value>> sources;
+            for (unsigned t = 0; t < map_threads; ++t) {
+              channels[t]->SortTail(p);
+              channels[t]->AppendSources(p, &sources);
+            }
+            SpillMerger<Value> merger(std::move(sources));
+            engine_internal::ReduceStream(&merger, reduce_fn, combiner, out,
+                                          out_records, &partition_metrics[p]);
+            continue;
+          }
+        }
         for (unsigned t = 0; t < map_threads; ++t) {
-          buckets[t] = &scatter[t][p];
+          buckets[t] = &(*channels[t]->buckets())[p];
         }
         const bool counted = engine_internal::GroupByKey<Value>(
-            buckets, partition_pairs[p], policy.group, &local, &counts);
+            buckets, partition_pairs[p], &local, &counts);
         partition_grouping[p] = counted ? 1 : 2;
-        engine_internal::ReduceRange(
-            local, 0, local.size(), reduce_fn, combiner,
-            buffered ? static_cast<InstanceSink*>(&partition_sinks[p])
-                     : nullptr,
-            records != nullptr
-                ? static_cast<InstanceSink*>(&partition_records[p])
-                : nullptr,
-            &partition_metrics[p]);
+        engine_internal::ReduceRange(local, 0, local.size(), reduce_fn,
+                                     combiner, out, out_records,
+                                     &partition_metrics[p]);
       }
     }, &metrics.shuffle);
 
@@ -324,7 +277,7 @@ class PartitionedShuffleBackend final : public ShuffleBackend<Input, Value> {
       metrics.shuffle.counting_partitions += partition_grouping[p] == 1;
       metrics.shuffle.sorted_partitions += partition_grouping[p] == 2;
       if (buffered) partition_sinks[p].FlushTo(sink);
-      if (records != nullptr) partition_records[p].FlushTo(records);
+      if (replay_records) partition_records[p].FlushTo(records);
     }
     if (counts_only) sink->EmitCount(metrics.outputs);
     return metrics;

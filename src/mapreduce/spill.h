@@ -24,13 +24,14 @@ namespace smr {
 /// pool exceeds the budget a map worker spills its own buffers — each
 /// bucket stable-sorted and appended to the worker's temp file in
 /// partition order as one *run* — then keeps emitting into the emptied
-/// buffers. After the map phase, each partition's pairs are recovered as a
-/// stable k-way merge of its spilled runs plus the (sorted) resident
-/// tails, in worker order. Because every run is a contiguous
-/// emission-order segment sorted stably, and the merge breaks key ties by
-/// segment order, the merged stream is *exactly* the stable sort of the
-/// worker-order concatenation — byte-identical instances, output order,
-/// and semantic metrics to the unbounded in-memory path. That equality is
+/// buffers. After the map phase, each partition that has runs is
+/// recovered as a stable k-way merge of its spilled runs plus the
+/// (sorted) resident tails, in worker order; a partition without runs is
+/// grouped in memory like an unbounded one. Because every run is a
+/// contiguous emission-order segment sorted stably, and the merge breaks
+/// key ties by segment order, the merged stream is *exactly* the stable
+/// sort of the worker-order concatenation — byte-identical instances,
+/// output order, and semantic metrics to the unbounded in-memory path. That equality is
 /// the store's contract, enforced by tests/spill_shuffle_fuzz_test.cc.
 ///
 /// I/O failures (short writes, ENOSPC, failed re-reads) surface as
@@ -293,18 +294,21 @@ class SpillChannel {
     return false;
   }
 
-  /// Stable-sorts the resident tails; call once, after the last emission.
-  void Finish() {
-    for (std::vector<Pair>& bucket : buckets_) SortByKey(&bucket);
-  }
+  /// Stable-sorts partition `p`'s resident tail; call after the last
+  /// emission and before AppendSources(p). Only partitions that are read
+  /// back through a SpillMerger need it.
+  void SortTail(unsigned p) { SortByKey(&buckets_[p]); }
 
   /// Pairs this channel holds for partition `p`, spilled plus resident.
   uint64_t PairsInPartition(unsigned p) const {
     return spilled_[p].pairs + buckets_[p].size();
   }
 
+  /// Whether any of partition `p`'s pairs were spilled to a run.
+  bool HasRuns(unsigned p) const { return !spilled_[p].runs.empty(); }
+
   /// Appends partition `p`'s sorted segments in emission order: spilled
-  /// runs oldest-first, then the resident tail. Requires Finish().
+  /// runs oldest-first, then the resident tail. Requires SortTail(p).
   void AppendSources(unsigned p, std::vector<SpillSource<Value>>* out) {
     for (const Run& run : spilled_[p].runs) {
       out->emplace_back(file_.get(), run.offset, run.count);

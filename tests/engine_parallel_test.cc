@@ -1,7 +1,9 @@
 // Determinism tests for the parallel engine: a declared round run through
-// JobDriver, and every map-reduce strategy built on the engine, must
-// produce byte-identical metrics and identical instances — in the same
-// emission order — for 1, 2, and 8 threads.
+// JobDriver must reproduce the engine-free ReferenceRound
+// (tests/test_util.h), and every map-reduce strategy built on the engine
+// must produce byte-identical metrics and identical instances — in the
+// same emission order — for 1, 2, and 8 threads and for one or the auto
+// number of partitions.
 
 #include <cstdint>
 #include <set>
@@ -27,22 +29,21 @@ namespace {
 
 const unsigned kThreadCounts[] = {1, 2, 8};
 
-// Both shuffle implementations must honor the determinism contract; the
-// strategy harness below runs each strategy under both at every thread
-// count.
-const ShuffleMode kShuffleModes[] = {ShuffleMode::kSort,
-                                     ShuffleMode::kPartitioned};
+// One global partition and the auto count (1 at one thread, 4 per thread
+// otherwise): the harnesses below run every thread count under both.
+const unsigned kPartitionCounts[] = {1, 0};
 
-/// Runs one int round under `policy` through the declarative API.
+/// Runs one int round under `policy` through the declarative API, or
+/// through the engine-free ReferenceRound when `policy` is null.
 template <typename Map, typename Reduce>
 MapReduceMetrics RunIntRound(const std::vector<int>& inputs, Map map_fn,
                              Reduce reduce_fn, InstanceSink* sink,
                              uint64_t key_space,
-                             const ExecutionPolicy& policy) {
-  JobDriver driver(policy);
-  return driver.RunRound(RoundSpec<int, int>{"test", map_fn, reduce_fn,
-                                             key_space, {}},
-                         inputs, sink);
+                             const ExecutionPolicy* policy) {
+  const RoundSpec<int, int> round{"test", map_fn, reduce_fn, key_space, {}};
+  if (policy == nullptr) return ReferenceRound(round, inputs, sink);
+  JobDriver driver(*policy);
+  return driver.RunRound(round, inputs, sink);
 }
 
 DirectedGraph RandomDigraph(NodeId n, size_t m, uint64_t seed) {
@@ -80,21 +81,23 @@ TEST(EngineParallel, RawRoundIdenticalAcrossThreadCounts) {
     }
   };
 
-  CollectingSink serial_sink;
-  const MapReduceMetrics serial = RunIntRound(
-      inputs, map_fn, reduce_fn, &serial_sink, 7, ExecutionPolicy::Serial());
-  ASSERT_GT(serial.outputs, 0u);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference = RunIntRound(
+      inputs, map_fn, reduce_fn, &reference_sink, 7, nullptr);
+  ASSERT_GT(reference.outputs, 0u);
 
   for (const unsigned threads : kThreadCounts) {
-    for (const ShuffleMode mode : kShuffleModes) {
+    for (const unsigned partitions : kPartitionCounts) {
       CollectingSink sink;
-      const MapReduceMetrics metrics = RunIntRound(
-          inputs, map_fn, reduce_fn, &sink, 7,
-          ExecutionPolicy::WithThreads(threads).WithShuffle(mode));
-      EXPECT_EQ(metrics, serial) << "threads=" << threads;
-      // Emission order, not just multiset, must match the serial engine.
-      EXPECT_EQ(sink.assignments(), serial_sink.assignments())
-          << "threads=" << threads;
+      const ExecutionPolicy policy =
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions);
+      const MapReduceMetrics metrics =
+          RunIntRound(inputs, map_fn, reduce_fn, &sink, 7, &policy);
+      EXPECT_EQ(metrics, reference)
+          << "threads=" << threads << " partitions=" << partitions;
+      // Emission order, not just multiset, must match the reference.
+      EXPECT_EQ(sink.assignments(), reference_sink.assignments())
+          << "threads=" << threads << " partitions=" << partitions;
     }
   }
 }
@@ -108,11 +111,12 @@ TEST(EngineParallel, MoreThreadsThanKeysOrInputs) {
                       ReduceContext* context) {
     context->cost->candidates += values.size();
   };
-  const MapReduceMetrics serial = RunIntRound(
-      inputs, map_fn, reduce_fn, nullptr, 1, ExecutionPolicy::Serial());
-  const MapReduceMetrics wide = RunIntRound(
-      inputs, map_fn, reduce_fn, nullptr, 1, ExecutionPolicy::WithThreads(64));
-  EXPECT_EQ(wide, serial);
+  const MapReduceMetrics reference =
+      RunIntRound(inputs, map_fn, reduce_fn, nullptr, 1, nullptr);
+  const ExecutionPolicy wide_policy = ExecutionPolicy::WithThreads(64);
+  const MapReduceMetrics wide =
+      RunIntRound(inputs, map_fn, reduce_fn, nullptr, 1, &wide_policy);
+  EXPECT_EQ(wide, reference);
   EXPECT_EQ(wide.distinct_keys, 1u);
 }
 
@@ -121,17 +125,21 @@ TEST(EngineParallel, EmptyInputAllThreadCounts) {
   auto map_fn = [](const int&, Emitter<int>*) {};
   auto reduce_fn = [](uint64_t, std::span<const int>, ReduceContext*) {};
   for (const unsigned threads : kThreadCounts) {
+    const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads);
     const MapReduceMetrics metrics =
-        RunIntRound(inputs, map_fn, reduce_fn, nullptr, 9,
-                    ExecutionPolicy::WithThreads(threads));
+        RunIntRound(inputs, map_fn, reduce_fn, nullptr, 9, &policy);
     EXPECT_EQ(metrics.key_value_pairs, 0u);
     EXPECT_EQ(metrics.distinct_keys, 0u);
     EXPECT_EQ(metrics.key_space, 9u);
   }
 }
 
-// Shared harness: run `strategy` at every thread count and require metrics
-// and sorted instance keys identical to the 1-thread run.
+// Shared harness: run `strategy` at every thread count and partition count
+// and require metrics and sorted instance keys identical to the 1-thread
+// run. (Strategies are whole jobs, not single rounds; the raw-round tests
+// above pin the engine itself to ReferenceRound, and
+// ParallelMatchesGroundTruth pins strategy instances to the serial
+// matcher.)
 template <typename Strategy>
 void ExpectStrategyDeterministic(const SampleGraph& pattern,
                                  const Strategy& strategy) {
@@ -143,14 +151,15 @@ void ExpectStrategyDeterministic(const SampleGraph& pattern,
                                    "determinism check would be vacuous";
 
   for (const unsigned threads : kThreadCounts) {
-    for (const ShuffleMode mode : kShuffleModes) {
+    for (const unsigned partitions : kPartitionCounts) {
       CollectingSink sink;
       const MapReduceMetrics metrics = strategy(
-          ExecutionPolicy::WithThreads(threads).WithShuffle(mode), &sink);
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions),
+          &sink);
       EXPECT_EQ(metrics, serial)
-          << "threads=" << threads << " sort=" << (mode == ShuffleMode::kSort);
+          << "threads=" << threads << " partitions=" << partitions;
       EXPECT_EQ(KeysOf(sink, pattern), serial_keys)
-          << "threads=" << threads << " sort=" << (mode == ShuffleMode::kSort);
+          << "threads=" << threads << " partitions=" << partitions;
     }
   }
 }
@@ -282,9 +291,9 @@ TEST(EngineParallel, CallbackExceptionsPropagateAtEveryThreadCount) {
     if (key == 7) throw std::runtime_error("reducer 7 failed");
   };
   for (const unsigned threads : kThreadCounts) {
+    const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads);
     const auto run = [&] {
-      RunIntRound(inputs, map_fn, reduce_fn, nullptr, 10,
-                  ExecutionPolicy::WithThreads(threads));
+      RunIntRound(inputs, map_fn, reduce_fn, nullptr, 10, &policy);
     };
     EXPECT_THROW(run(), std::runtime_error) << "threads=" << threads;
   }

@@ -1,9 +1,9 @@
-// Seeded randomized property test for the engine's shuffle implementations:
-// arbitrary map/reduce functions run through the serial engine, the sort
-// shuffle, and the partitioned shuffle at 1/2/4/8 threads (and several
-// partition counts) must produce byte-identical metrics and identical sink
-// emissions in identical order — including the counting-sink fast path and
-// the exception path. This is the determinism contract the strategies and
+// Seeded randomized property test for the engine's shuffle: arbitrary
+// map/reduce functions run through the in-memory shuffle at 1/2/4/8 threads
+// and several partition counts must produce the semantic metrics and the
+// sink emissions, in identical order, of the engine-free ReferenceRound
+// (tests/test_util.h) — including the counting-sink fast path and the
+// exception path. This is the determinism contract the strategies and
 // every downstream experiment rest on.
 
 #include <cstdint>
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "mapreduce/job.h"
+#include "tests/test_util.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -59,8 +60,7 @@ uint64_t KeyFor(const FuzzRound& spec, int input, int emission) {
   return h % spec.key_space;
 }
 
-MapReduceMetrics RunSpec(const FuzzRound& spec, const std::vector<int>& inputs,
-                         InstanceSink* sink, const ExecutionPolicy& policy) {
+RoundSpec<int, int> MakeRound(const FuzzRound& spec) {
   auto map_fn = [spec](const int& input, Emitter<int>* out) {
     const unsigned emissions =
         SplitMix64(static_cast<uint64_t>(input) ^ spec.seed) % 4;
@@ -79,29 +79,28 @@ MapReduceMetrics RunSpec(const FuzzRound& spec, const std::vector<int>& inputs,
       }
     }
   };
+  return RoundSpec<int, int>{"fuzz", map_fn, reduce_fn, spec.key_space, {}};
+}
+
+MapReduceMetrics RunSpec(const FuzzRound& spec, const std::vector<int>& inputs,
+                         InstanceSink* sink, const ExecutionPolicy& policy) {
   JobDriver driver(policy);
-  return driver.RunRound(RoundSpec<int, int>{"fuzz", map_fn, reduce_fn,
-                                             spec.key_space, {}},
-                         inputs, sink);
+  return driver.RunRound(MakeRound(spec), inputs, sink);
 }
 
 std::vector<ExecutionPolicy> AllPolicies() {
   std::vector<ExecutionPolicy> policies;
   for (const unsigned threads : kThreadCounts) {
-    policies.push_back(
-        ExecutionPolicy::WithThreads(threads).WithShuffle(ShuffleMode::kSort));
     for (const unsigned partitions : kPartitionCounts) {
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kPartitioned)
-                             .WithPartitions(partitions));
+      policies.push_back(
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions));
     }
   }
   return policies;
 }
 
 std::string Describe(const ExecutionPolicy& policy) {
-  return "threads=" + std::to_string(policy.num_threads) + " mode=" +
-         (policy.shuffle == ShuffleMode::kSort ? "sort" : "partitioned") +
+  return "threads=" + std::to_string(policy.num_threads) +
          " partitions=" + std::to_string(policy.shuffle_partitions);
 }
 
@@ -126,7 +125,7 @@ TEST(EngineShuffleFuzz, AllEnginesAgreeOnRandomRounds) {
     const std::vector<int> inputs = MakeInputs(spec);
     CollectingSink reference_sink;
     const MapReduceMetrics reference =
-        RunSpec(spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+        ReferenceRound(MakeRound(spec), inputs, &reference_sink);
 
     for (const ExecutionPolicy& policy : AllPolicies()) {
       CollectingSink sink;
@@ -135,6 +134,14 @@ TEST(EngineShuffleFuzz, AllEnginesAgreeOnRandomRounds) {
           << Describe(policy) << " key_space=" << spec.key_space;
       EXPECT_EQ(sink.assignments(), reference_sink.assignments())
           << Describe(policy) << " key_space=" << spec.key_space;
+      // Budget 0 never charges the page pool, so nothing ever spills.
+      EXPECT_EQ(metrics.shuffle.pages_spilled, 0u) << Describe(policy);
+      EXPECT_EQ(metrics.shuffle.bytes_spilled, 0u) << Describe(policy);
+      EXPECT_EQ(metrics.shuffle.spill_files, 0u) << Describe(policy);
+      // One thread drains every partition itself, so auto means 1 there.
+      if (policy.num_threads == 1 && policy.shuffle_partitions == 0) {
+        EXPECT_EQ(metrics.shuffle.partitions, 1u);
+      }
     }
   }
 }
@@ -148,7 +155,7 @@ TEST(EngineShuffleFuzz, CountingSinkPathMatchesBufferedPath) {
   const std::vector<int> inputs = MakeInputs(spec);
 
   CollectingSink reference_sink;
-  RunSpec(spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+  ReferenceRound(MakeRound(spec), inputs, &reference_sink);
 
   for (const ExecutionPolicy& policy : AllPolicies()) {
     CountingSink counting;

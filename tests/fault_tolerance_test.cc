@@ -30,6 +30,7 @@
 #include "mapreduce/metrics.h"
 #include "mapreduce/policy_spec.h"
 #include "mapreduce/worker_error.h"
+#include "tests/test_util.h"
 
 namespace smr {
 namespace {
@@ -197,35 +198,28 @@ std::vector<uint32_t> Iota(size_t n) {
   return inputs;
 }
 
-TEST(FaultTolerance, RoundLevelKillsRecoverAcrossShuffleModesAndBudgets) {
+TEST(FaultTolerance, RoundLevelKillsRecoverAcrossBudgets) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
-  for (const ShuffleMode mode :
-       {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
-    for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
-      FaultInjector injector(
-          ParseFaultPlan("map:kill:0:after=2;reduce:kill:1:after=1"));
-      CollectingSink sink;
-      const MapReduceMetrics metrics =
-          RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
-                   FaultyPolicy(3, &injector)
-                       .WithShuffle(mode)
-                       .WithBudget(budget));
-      const std::string label =
-          std::string(mode == ShuffleMode::kSort ? "sort" : "partitioned") +
-          " budget=" + std::to_string(budget);
-      EXPECT_TRUE(metrics == thread_metrics) << label;
-      EXPECT_EQ(sink.assignments(), thread_sink.assignments()) << label;
-      EXPECT_EQ(metrics.shuffle.worker_retries, 2u) << label;
-      EXPECT_GT(metrics.shuffle.frames_discarded, 0u) << label;
-      EXPECT_EQ(metrics.shuffle.deadline_kills, 0u) << label;
-      EXPECT_EQ(injector.fires(), 2u) << label;
-    }
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
+    FaultInjector injector(
+        ParseFaultPlan("map:kill:0:after=2;reduce:kill:1:after=1"));
+    CollectingSink sink;
+    const MapReduceMetrics metrics =
+        RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+                 FaultyPolicy(3, &injector).WithBudget(budget));
+    const std::string label = "budget=" + std::to_string(budget);
+    EXPECT_TRUE(metrics == reference_metrics) << label;
+    EXPECT_EQ(sink.assignments(), reference_sink.assignments()) << label;
+    EXPECT_EQ(metrics.shuffle.worker_retries, 2u) << label;
+    EXPECT_GT(metrics.shuffle.frames_discarded, 0u) << label;
+    EXPECT_EQ(metrics.shuffle.deadline_kills, 0u) << label;
+    EXPECT_EQ(injector.fires(), 2u) << label;
   }
 }
 
@@ -236,17 +230,17 @@ TEST(FaultTolerance, StalledMapWorkerIsKilledByDeadlineAndRetried) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   FaultInjector injector(ParseFaultPlan("map:stall:0:after=1"));
   CollectingSink sink;
   const MapReduceMetrics metrics =
       RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
                FaultyPolicy(2, &injector).WithDeadline(400));
-  EXPECT_TRUE(metrics == thread_metrics);
-  EXPECT_EQ(sink.assignments(), thread_sink.assignments());
+  EXPECT_TRUE(metrics == reference_metrics);
+  EXPECT_EQ(sink.assignments(), reference_sink.assignments());
   EXPECT_EQ(metrics.shuffle.deadline_kills, 1u);
   EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
 }
@@ -255,17 +249,17 @@ TEST(FaultTolerance, StalledReduceWorkerIsKilledByDeadlineAndRetried) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   FaultInjector injector(ParseFaultPlan("reduce:stall:0:after=0"));
   CollectingSink sink;
   const MapReduceMetrics metrics =
       RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
                FaultyPolicy(2, &injector).WithDeadline(400));
-  EXPECT_TRUE(metrics == thread_metrics);
-  EXPECT_EQ(sink.assignments(), thread_sink.assignments());
+  EXPECT_TRUE(metrics == reference_metrics);
+  EXPECT_EQ(sink.assignments(), reference_sink.assignments());
   EXPECT_EQ(metrics.shuffle.deadline_kills, 1u);
   EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
 }
@@ -277,17 +271,17 @@ TEST(FaultTolerance, SpillAppendFailureIsRetriedWithoutChangingResults) {
   const CountSpec spec = CountRound(256, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(20000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   FaultInjector injector(ParseFaultPlan("map:spillfail:0"));
   CollectingSink sink;
   const MapReduceMetrics metrics =
       RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
                FaultyPolicy(2, &injector).WithBudget(16 * 1024));
-  EXPECT_TRUE(metrics == thread_metrics);
-  EXPECT_EQ(sink.assignments(), thread_sink.assignments());
+  EXPECT_TRUE(metrics == reference_metrics);
+  EXPECT_EQ(sink.assignments(), reference_sink.assignments());
   EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
   EXPECT_EQ(injector.fires(FaultKind::kFailSpillAppend), 1u);
   EXPECT_GT(metrics.shuffle.pages_spilled, 0u);
@@ -350,9 +344,9 @@ TEST(FaultTolerance, FallbackReproducesResultsOnTheThreadBackend) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   FaultInjector injector(ParseFaultPlan("map:kill:0:after=1:times=99"));
   CollectingSink sink;
@@ -360,8 +354,8 @@ TEST(FaultTolerance, FallbackReproducesResultsOnTheThreadBackend) {
       spec, std::span<const uint32_t>(inputs), &sink, nullptr,
       FaultyPolicy(3, &injector, /*max_attempts=*/2)
           .WithOnExhausted(OnExhausted::kFallbackThread));
-  EXPECT_TRUE(metrics == thread_metrics);
-  EXPECT_EQ(sink.assignments(), thread_sink.assignments());
+  EXPECT_TRUE(metrics == reference_metrics);
+  EXPECT_EQ(sink.assignments(), reference_sink.assignments());
   EXPECT_EQ(metrics.shuffle.thread_fallbacks, 1u);
   EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
 }

@@ -1,10 +1,13 @@
-// The sort-free grouping layer (mapreduce/group_by_key.h) and its policy
-// knob (GroupMode): unit tests of the counting scatter's stability and
-// fallback rule, a property-fuzz grid asserting byte-identical outputs,
-// order, and semantic metrics across sort/counting/auto grouping x 1/2/4/8
-// threads x combine on/off x both shuffle modes, the grouping-mode
-// ShuffleStats, and the empty-round short-circuit regression.
+// The sort-free grouping layer (mapreduce/group_by_key.h): unit tests of
+// the counting scatter's stability and its density rule (dense inputs take
+// the counting scatter, sparse ones the stable_sort fallback, both equal
+// to the engine-free reference), a property-fuzz grid asserting
+// byte-identical outputs, order, and semantic metrics against
+// ReferenceRound (tests/test_util.h) across 1/2/4/8 threads x partition
+// counts x combine on/off, the grouping ShuffleStats, and the empty-round
+// short-circuit regression.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -15,6 +18,7 @@
 
 #include "mapreduce/group_by_key.h"
 #include "mapreduce/job.h"
+#include "tests/test_util.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -24,7 +28,7 @@ namespace {
 using Pair = std::pair<uint64_t, int>;
 
 std::vector<Pair> Group(std::vector<std::vector<Pair>> buckets,
-                        GroupMode mode, bool* counted) {
+                        bool* counted) {
   std::vector<std::vector<Pair>*> pointers;
   size_t total = 0;
   for (auto& bucket : buckets) {
@@ -33,71 +37,89 @@ std::vector<Pair> Group(std::vector<std::vector<Pair>> buckets,
   }
   std::vector<Pair> out;
   std::vector<uint32_t> counts;
-  *counted =
-      engine_internal::GroupByKey<int>(pointers, total, mode, &out, &counts);
+  *counted = engine_internal::GroupByKey<int>(pointers, total, &out, &counts);
   return out;
 }
 
+/// The oracle every grouping must equal: the worker-order concatenation,
+/// stable-sorted by key.
+std::vector<Pair> StableSorted(const std::vector<std::vector<Pair>>& buckets) {
+  std::vector<Pair> all;
+  for (const auto& bucket : buckets) {
+    all.insert(all.end(), bucket.begin(), bucket.end());
+  }
+  std::stable_sort(all.begin(), all.end(), [](const Pair& a, const Pair& b) {
+    return a.first < b.first;
+  });
+  return all;
+}
+
 TEST(GroupByKey, CountingScatterIsStableAndAscending) {
+  const std::vector<std::vector<Pair>> buckets = {
+      {{5, 1}, {3, 2}, {5, 3}}, {{3, 4}, {4, 5}, {5, 6}}};
   bool counted = false;
-  const std::vector<Pair> grouped = Group(
-      {{{5, 1}, {3, 2}, {5, 3}}, {{3, 4}, {4, 5}, {5, 6}}}, GroupMode::kAuto,
-      &counted);
+  const std::vector<Pair> grouped = Group(buckets, &counted);
   EXPECT_TRUE(counted);  // Range 3..5 is dense for 6 pairs.
   const std::vector<Pair> expected = {
       {3, 2}, {3, 4}, {4, 5}, {5, 1}, {5, 3}, {5, 6}};
   EXPECT_EQ(grouped, expected);
+  EXPECT_EQ(grouped, StableSorted(buckets));
 }
 
 TEST(GroupByKey, SparseRangeFallsBackToSortWithIdenticalResult) {
   const std::vector<std::vector<Pair>> buckets = {
       {{1000000000, 1}, {0, 2}}, {{1000000000, 3}}};
   bool counted = true;
-  const std::vector<Pair> sorted =
-      Group(buckets, GroupMode::kAuto, &counted);
+  const std::vector<Pair> sorted = Group(buckets, &counted);
   EXPECT_FALSE(counted);  // Spread 1e9 >> 4 * 3 pairs.
-  bool reference_counted = false;
-  EXPECT_EQ(sorted, Group(buckets, GroupMode::kSort, &reference_counted));
   const std::vector<Pair> expected = {{0, 2}, {1000000000, 1},
                                       {1000000000, 3}};
   EXPECT_EQ(sorted, expected);
+  EXPECT_EQ(sorted, StableSorted(buckets));
 }
 
-TEST(GroupByKey, ForcedCountingAcceptsModeratelySparseRanges) {
-  // Spread 100 with 3 pairs: beyond kAuto's 4x density bound, within
-  // kCounting's 64x representability cap.
-  const std::vector<std::vector<Pair>> buckets = {{{107, 1}, {7, 2}},
-                                                  {{50, 3}}};
-  bool counted = false;
-  const std::vector<Pair> auto_grouped =
-      Group(buckets, GroupMode::kAuto, &counted);
-  EXPECT_FALSE(counted);
-  const std::vector<Pair> forced =
-      Group(buckets, GroupMode::kCounting, &counted);
-  EXPECT_TRUE(counted);
-  EXPECT_EQ(forced, auto_grouped);
+TEST(GroupByKey, DensityRuleDecidesThePath) {
+  // kAutoSparsityCap is the one rule: counting while the key spread stays
+  // below kAutoSparsityCap x pairs, the stable sort from there on. Both
+  // paths equal the stable-sorted concatenation.
+  for (const uint64_t spread : {uint64_t{11}, uint64_t{12}}) {
+    const std::vector<std::vector<Pair>> buckets = {
+        {{7 + spread, 1}, {7, 2}}, {{8, 3}}};
+    bool counted = false;
+    const std::vector<Pair> grouped = Group(buckets, &counted);
+    EXPECT_EQ(counted, spread < engine_internal::kAutoSparsityCap * 3)
+        << "spread=" << spread;
+    EXPECT_EQ(grouped, StableSorted(buckets)) << "spread=" << spread;
+  }
 }
 
-TEST(GroupByKey, ForcedCountingStillRefusesAstronomicalRanges) {
-  // A stray radix key makes the range ~2^63; the forced mode must fall
-  // back to sort instead of attempting the histogram allocation.
+TEST(GroupByKey, StrayKeyFarPastTheRangeTakesSortFallback) {
+  // A dense run of keys plus one stray key near 2^63 (a key far past the
+  // declared space clamps into the last partition): the range is
+  // astronomical, so the histogram is never attempted.
+  std::vector<std::vector<Pair>> buckets(2);
+  for (int i = 0; i < 64; ++i) {
+    buckets[static_cast<size_t>(i % 2)].emplace_back(
+        static_cast<uint64_t>(i % 16), i);
+  }
+  buckets[1].emplace_back(uint64_t{1} << 63, -1);
   bool counted = true;
-  const std::vector<Pair> grouped = Group(
-      {{{uint64_t{1} << 63, 1}, {2, 2}}}, GroupMode::kCounting, &counted);
+  const std::vector<Pair> grouped = Group(buckets, &counted);
   EXPECT_FALSE(counted);
-  const std::vector<Pair> expected = {{2, 2}, {uint64_t{1} << 63, 1}};
-  EXPECT_EQ(grouped, expected);
+  EXPECT_EQ(grouped, StableSorted(buckets));
+  EXPECT_EQ(grouped.back(), (Pair{uint64_t{1} << 63, -1}));
 }
 
 TEST(GroupByKey, EmptyPartition) {
   bool counted = true;
-  EXPECT_TRUE(Group({{}, {}}, GroupMode::kAuto, &counted).empty());
+  EXPECT_TRUE(Group({{}, {}}, &counted).empty());
   EXPECT_FALSE(counted);
 }
 
 // ---------------------------------------------------------------------------
-// Property grid: every (group mode, shuffle mode, threads, combine) cell
-// must reproduce the serial reference byte-for-byte.
+// Property grid: every (threads, partitions, combine) cell must reproduce
+// the engine-free reference byte-for-byte, whichever grouping path each
+// partition took.
 
 struct GridRound {
   uint64_t seed = 0;
@@ -145,15 +167,12 @@ RoundSpec<int, int> MakeRound(const GridRound& spec) {
 }
 
 std::string Describe(const ExecutionPolicy& policy) {
-  const char* group = policy.group == GroupMode::kSort      ? "sort"
-                      : policy.group == GroupMode::kCounting ? "counting"
-                                                             : "auto";
-  return "threads=" + std::to_string(policy.num_threads) + " shuffle=" +
-         (policy.shuffle == ShuffleMode::kSort ? "sort" : "partitioned") +
-         " group=" + group + " combine=" + (policy.combine ? "on" : "off");
+  return "threads=" + std::to_string(policy.num_threads) +
+         " partitions=" + std::to_string(policy.shuffle_partitions) +
+         " combine=" + (policy.combine ? "on" : "off");
 }
 
-TEST(GroupingEquivalence, AllGroupModesMatchTheSerialReference) {
+TEST(GroupingEquivalence, GridMatchesReferenceRound) {
   const uint64_t key_spaces[] = {0, 1, 500, 40000};
   std::vector<GridRound> specs;
   Rng rng(0xbeef);
@@ -173,40 +192,33 @@ TEST(GroupingEquivalence, AllGroupModesMatchTheSerialReference) {
     for (int& v : inputs) v = static_cast<int>(value_rng.Below(1 << 20));
     const RoundSpec<int, int> round = MakeRound(spec);
 
-    // One serial reference per combine setting: combining changes what the
+    // One reference per combine setting: combining changes what the
     // reducer sees (one folded value), so max_reducer_input / reduce_cost
     // legitimately differ between on and off — but outputs never do.
     CollectingSink reference_sinks[2];
     MapReduceMetrics references[2];
     for (const bool combine : {false, true}) {
-      JobDriver reference_driver(
-          ExecutionPolicy::Serial().WithCombine(combine));
-      references[combine] =
-          reference_driver.RunRound(round, inputs, &reference_sinks[combine]);
+      references[combine] = ReferenceRound(
+          round, inputs, &reference_sinks[combine], nullptr, combine);
     }
     EXPECT_EQ(reference_sinks[0].assignments(),
               reference_sinks[1].assignments())
         << "combining changed results, key_space=" << spec.key_space;
 
     for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-      for (const ShuffleMode shuffle :
-           {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
-        for (const GroupMode group :
-             {GroupMode::kSort, GroupMode::kCounting, GroupMode::kAuto}) {
-          for (const bool combine : {true, false}) {
-            const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads)
-                                               .WithShuffle(shuffle)
-                                               .WithGroup(group)
-                                               .WithCombine(combine);
-            CollectingSink sink;
-            JobDriver driver(policy);
-            const MapReduceMetrics metrics =
-                driver.RunRound(round, inputs, &sink);
-            EXPECT_EQ(metrics, references[combine])
-                << Describe(policy) << " key_space=" << spec.key_space;
-            EXPECT_EQ(sink.assignments(), reference_sinks[combine].assignments())
-                << Describe(policy) << " key_space=" << spec.key_space;
-          }
+      for (const unsigned partitions : {0u, 1u}) {
+        for (const bool combine : {true, false}) {
+          const ExecutionPolicy policy = ExecutionPolicy::WithThreads(threads)
+                                             .WithPartitions(partitions)
+                                             .WithCombine(combine);
+          CollectingSink sink;
+          JobDriver driver(policy);
+          const MapReduceMetrics metrics =
+              driver.RunRound(round, inputs, &sink);
+          EXPECT_EQ(metrics, references[combine])
+              << Describe(policy) << " key_space=" << spec.key_space;
+          EXPECT_EQ(sink.assignments(), reference_sinks[combine].assignments())
+              << Describe(policy) << " key_space=" << spec.key_space;
         }
       }
     }
@@ -227,26 +239,41 @@ TEST(GroupingStats, DenseRoundCountsEveryPartitionAndSortModeNone) {
     context->cost->edges_scanned += values.size();
   };
 
-  const ExecutionPolicy base = ExecutionPolicy::WithThreads(4);
-  JobDriver auto_driver(base.WithGroup(GroupMode::kAuto));
-  const MapReduceMetrics with_auto =
-      auto_driver.RunRound(round, inputs, nullptr);
-  EXPECT_GT(with_auto.shuffle.counting_partitions, 0u);
-  EXPECT_EQ(with_auto.shuffle.sorted_partitions, 0u);
+  const MapReduceMetrics reference = ReferenceRound(round, inputs, nullptr);
+  for (const unsigned threads : {1u, 4u}) {
+    JobDriver driver(ExecutionPolicy::WithThreads(threads));
+    const MapReduceMetrics dense = driver.RunRound(round, inputs, nullptr);
+    EXPECT_EQ(dense.shuffle.counting_partitions, dense.shuffle.partitions)
+        << "threads=" << threads;
+    EXPECT_EQ(dense.shuffle.sorted_partitions, 0u) << "threads=" << threads;
+    EXPECT_EQ(dense, reference) << "threads=" << threads;
+  }
+}
 
-  JobDriver sort_driver(base.WithGroup(GroupMode::kSort));
-  const MapReduceMetrics with_sort =
-      sort_driver.RunRound(round, inputs, nullptr);
-  EXPECT_EQ(with_sort.shuffle.counting_partitions, 0u);
-  EXPECT_GT(with_sort.shuffle.sorted_partitions, 0u);
-  EXPECT_EQ(with_auto, with_sort);
+TEST(GroupingStats, SparseRoundSortsItsPartitions) {
+  // 64 pairs spread over a 2^40 key space: every partition is far too
+  // sparse for a histogram, so every one takes the stable_sort fallback.
+  std::vector<int> inputs(64);
+  for (size_t i = 0; i < inputs.size(); ++i) inputs[i] = static_cast<int>(i);
+  RoundSpec<int, int> round;
+  round.name = "sparse";
+  round.key_space = uint64_t{1} << 40;
+  round.mapper = [](const int& v, Emitter<int>* out) {
+    out->Emit(SplitMix64(static_cast<uint64_t>(v)) % (uint64_t{1} << 40), v);
+  };
+  round.reducer = [](uint64_t, std::span<const int> values,
+                     ReduceContext* context) {
+    context->cost->edges_scanned += values.size();
+  };
 
-  // The sort *shuffle* never partitions, so it reports neither.
-  JobDriver shuffle_sort_driver(base.WithShuffle(ShuffleMode::kSort));
-  const MapReduceMetrics sort_shuffle =
-      shuffle_sort_driver.RunRound(round, inputs, nullptr);
-  EXPECT_EQ(sort_shuffle.shuffle.counting_partitions, 0u);
-  EXPECT_EQ(sort_shuffle.shuffle.sorted_partitions, 0u);
+  const MapReduceMetrics reference = ReferenceRound(round, inputs, nullptr);
+  for (const unsigned threads : {1u, 4u}) {
+    JobDriver driver(ExecutionPolicy::WithThreads(threads).WithPartitions(2));
+    const MapReduceMetrics sparse = driver.RunRound(round, inputs, nullptr);
+    EXPECT_EQ(sparse.shuffle.counting_partitions, 0u) << "threads=" << threads;
+    EXPECT_EQ(sparse.shuffle.sorted_partitions, 2u) << "threads=" << threads;
+    EXPECT_EQ(sparse, reference) << "threads=" << threads;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -265,10 +292,9 @@ TEST(EmptyRound, MapperEmittingNothingShortCircuits) {
   };
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const ShuffleMode shuffle :
-         {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
+    for (const unsigned partitions : {1u, 0u}) {
       const ExecutionPolicy policy =
-          ExecutionPolicy::WithThreads(threads).WithShuffle(shuffle);
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions);
       CollectingSink sink;
       CountingSink counting;
       JobDriver driver(policy);
@@ -303,9 +329,9 @@ TEST(EmptyRound, EmptyInputSpanShortCircuits) {
     FAIL() << "reducer must not run without inputs";
   };
   const std::vector<int> inputs;
-  for (const ShuffleMode shuffle :
-       {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
-    JobDriver driver(ExecutionPolicy::WithThreads(4).WithShuffle(shuffle));
+  for (const unsigned partitions : {1u, 0u}) {
+    JobDriver driver(
+        ExecutionPolicy::WithThreads(4).WithPartitions(partitions));
     const MapReduceMetrics metrics = driver.RunRound(round, inputs, nullptr);
     EXPECT_EQ(metrics.input_records, 0u);
     EXPECT_EQ(metrics.key_value_pairs, 0u);

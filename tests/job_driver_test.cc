@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "graph/node_order.h"
 #include "mapreduce/job.h"
+#include "tests/test_util.h"
 
 namespace smr {
 namespace {
@@ -61,12 +62,11 @@ TEST(JobDriver, TwoRoundPipelineDeterministicAcrossPolicies) {
   CollectingSink serial_sink;
   const TwoRoundMetrics serial = TwoRoundTriangles(g, order, &serial_sink);
   for (const unsigned threads : {2u, 8u}) {
-    for (const ShuffleMode mode :
-         {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
+    for (const unsigned partitions : {1u, 0u}) {
       CollectingSink sink;
       const TwoRoundMetrics parallel = TwoRoundTriangles(
           g, order, &sink,
-          ExecutionPolicy::WithThreads(threads).WithShuffle(mode));
+          ExecutionPolicy::WithThreads(threads).WithPartitions(partitions));
       EXPECT_EQ(parallel.round1, serial.round1) << "threads=" << threads;
       EXPECT_EQ(parallel.round2, serial.round2) << "threads=" << threads;
       EXPECT_EQ(sink.assignments(), serial_sink.assignments())
@@ -142,22 +142,26 @@ TEST(JobDriver, RecordChannelThreadsRoundsDeterministically) {
     return driver.job();
   };
 
-  CollectingSink serial_sink;
-  const JobMetrics serial = run(ExecutionPolicy::Serial(), &serial_sink);
-  ASSERT_EQ(serial.rounds.size(), 2u);
-  ASSERT_GT(serial.TotalOutputs(), 0u);
+  // Engine-free reference for both rounds.
+  CollectingSink reference_sink;
+  RecordBuffer reference_survivors(2);
+  const MapReduceMetrics reference_first =
+      ReferenceRound(first, inputs, nullptr, &reference_survivors);
+  const MapReduceMetrics reference_second =
+      ReferenceRound(second, reference_survivors.nodes(), &reference_sink);
+  ASSERT_GT(reference_second.outputs, 0u);
 
-  for (const unsigned threads : {2u, 8u}) {
+  for (const unsigned threads : {1u, 2u, 8u}) {
     for (const bool combine : {false, true}) {
       CollectingSink sink;
       const JobMetrics parallel = run(
           ExecutionPolicy::WithThreads(threads).WithCombine(combine), &sink);
-      EXPECT_EQ(sink.assignments(), serial_sink.assignments())
+      ASSERT_EQ(parallel.rounds.size(), 2u);
+      EXPECT_EQ(sink.assignments(), reference_sink.assignments())
           << "threads=" << threads << " combine=" << combine;
-      EXPECT_EQ(parallel.rounds[0].metrics, serial.rounds[0].metrics)
+      EXPECT_EQ(parallel.rounds[0].metrics, reference_first)
           << "threads=" << threads;
-      EXPECT_EQ(parallel.rounds[1].metrics.outputs,
-                serial.rounds[1].metrics.outputs)
+      EXPECT_EQ(parallel.rounds[1].metrics.outputs, reference_second.outputs)
           << "threads=" << threads;
     }
   }

@@ -1,9 +1,10 @@
 // Differential and crash tests for the process backend
 // (mapreduce/process_backend.h): forked map/reduce workers over
 // codec-framed socketpairs must produce byte-identical instances, order,
-// and semantic metrics to the in-thread backends for every worker count,
-// shuffle mode, and spill budget — and a worker that dies or throws must
-// surface as a runtime_error naming the worker, never as a hang.
+// and semantic metrics to the in-thread backend (and, round by round, to
+// the engine-free ReferenceRound) for every worker count and spill
+// budget — and a worker that dies or throws must surface as a
+// runtime_error naming the worker, never as a hang.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -24,6 +25,7 @@
 #include "mapreduce/instance_sink.h"
 #include "mapreduce/job.h"
 #include "mapreduce/metrics.h"
+#include "tests/test_util.h"
 
 namespace smr {
 namespace {
@@ -56,8 +58,8 @@ StrategyRun RunStrategy(const SampleGraph& pattern, const Graph& graph,
                      result.job};
 }
 
-// The acceptance grid from the issue: worker counts {1,2,4} x shuffle
-// modes x a spill budget, on a triangle and a square pattern, including a
+// The acceptance grid: worker counts {1,2,4} x a spill budget, on a
+// triangle and a square pattern, including a
 // multi-round strategy (tworound) so the intermediate-record channel
 // crosses the process boundary too. Every cell must match the serial
 // reference byte for byte: instance count, assignments in order, the
@@ -82,27 +84,19 @@ TEST(ProcessBackend, MatchesThreadBackendAcrossWorkersModesAndBudgets) {
     ASSERT_GT(expected.instances, 0u) << test_case.strategy;
 
     for (const unsigned workers : {1u, 2u, 4u}) {
-      for (const ShuffleMode mode :
-           {ShuffleMode::kSort, ShuffleMode::kPartitioned}) {
-        for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
-          const ExecutionPolicy policy =
-              ExecutionPolicy::Serial()
-                  .WithShuffle(mode)
-                  .WithBudget(budget)
-                  .WithBackend(BackendMode::kProcess, workers);
-          const StrategyRun got =
-              RunStrategy(*test_case.pattern, graph, test_case.strategy,
-                          policy);
-          const std::string label =
-              std::string(test_case.strategy) + " workers=" +
-              std::to_string(workers) + " mode=" +
-              (mode == ShuffleMode::kSort ? "sort" : "partitioned") +
-              " budget=" + std::to_string(budget);
-          EXPECT_EQ(got.instances, expected.instances) << label;
-          EXPECT_EQ(got.assignments, expected.assignments) << label;
-          EXPECT_TRUE(got.metrics == expected.metrics) << label;
-          EXPECT_TRUE(got.job == expected.job) << label;
-        }
+      for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
+        const ExecutionPolicy policy =
+            ExecutionPolicy::Serial().WithBudget(budget).WithBackend(
+                BackendMode::kProcess, workers);
+        const StrategyRun got =
+            RunStrategy(*test_case.pattern, graph, test_case.strategy, policy);
+        const std::string label = std::string(test_case.strategy) +
+                                  " workers=" + std::to_string(workers) +
+                                  " budget=" + std::to_string(budget);
+        EXPECT_EQ(got.instances, expected.instances) << label;
+        EXPECT_EQ(got.assignments, expected.assignments) << label;
+        EXPECT_TRUE(got.metrics == expected.metrics) << label;
+        EXPECT_TRUE(got.job == expected.job) << label;
       }
     }
   }
@@ -147,9 +141,9 @@ TEST(ProcessBackend, RoundLevelMetricsAndEmissionsMatchThreadBackend) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   for (const unsigned workers : {1u, 2u, 3u, 4u}) {
     CollectingSink process_sink;
@@ -157,8 +151,8 @@ TEST(ProcessBackend, RoundLevelMetricsAndEmissionsMatchThreadBackend) {
         spec, std::span<const uint32_t>(inputs), &process_sink, nullptr,
         ExecutionPolicy::Serial().WithBackend(BackendMode::kProcess,
                                               workers));
-    EXPECT_TRUE(process_metrics == thread_metrics) << workers;
-    EXPECT_EQ(process_sink.assignments(), thread_sink.assignments())
+    EXPECT_TRUE(process_metrics == reference_metrics) << workers;
+    EXPECT_EQ(process_sink.assignments(), reference_sink.assignments())
         << workers;
   }
 }
@@ -171,17 +165,17 @@ TEST(ProcessBackend, CombinerShrinksShippedPairsButNotSemantics) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/true);
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   CollectingSink process_sink;
   const MapReduceMetrics process_metrics = RunRound(
       spec, std::span<const uint32_t>(inputs), &process_sink, nullptr,
       ExecutionPolicy::Serial().WithBackend(BackendMode::kProcess, 4));
 
-  EXPECT_TRUE(process_metrics == thread_metrics);
-  EXPECT_EQ(process_sink.assignments(), thread_sink.assignments());
+  EXPECT_TRUE(process_metrics == reference_metrics);
+  EXPECT_EQ(process_sink.assignments(), reference_sink.assignments());
   EXPECT_EQ(process_metrics.key_value_pairs, 1000u);
   // 4 workers x 50 keys: every worker's slice covers every key.
   EXPECT_EQ(process_metrics.shuffle.pairs_shipped, 200u);
@@ -191,17 +185,17 @@ TEST(ProcessBackend, CountsOnlySinkMatchesThreadBackend) {
   const CountSpec spec = CountRound(50, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CountingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CountingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   CountingSink process_sink;
   const MapReduceMetrics process_metrics = RunRound(
       spec, std::span<const uint32_t>(inputs), &process_sink, nullptr,
       ExecutionPolicy::Serial().WithBackend(BackendMode::kProcess, 3));
 
-  EXPECT_TRUE(process_metrics == thread_metrics);
-  EXPECT_EQ(process_sink.count(), thread_sink.count());
+  EXPECT_TRUE(process_metrics == reference_metrics);
+  EXPECT_EQ(process_sink.count(), reference_sink.count());
   EXPECT_EQ(process_sink.count(), 50u);
 }
 
@@ -218,10 +212,10 @@ TEST(ProcessBackend, RecordChannelCrossesTheProcessBoundaryInOrder) {
   };
   const std::vector<uint32_t> inputs = Iota(1000);
 
-  CollectingSink thread_sink;
+  CollectingSink reference_sink;
   RecordBuffer thread_records(2);
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink,
+  const MapReduceMetrics reference_metrics =
+      RunRound(spec, std::span<const uint32_t>(inputs), &reference_sink,
                &thread_records);
 
   CollectingSink process_sink;
@@ -231,8 +225,8 @@ TEST(ProcessBackend, RecordChannelCrossesTheProcessBoundaryInOrder) {
       &process_records,
       ExecutionPolicy::Serial().WithBackend(BackendMode::kProcess, 4));
 
-  EXPECT_TRUE(process_metrics == thread_metrics);
-  EXPECT_EQ(process_sink.assignments(), thread_sink.assignments());
+  EXPECT_TRUE(process_metrics == reference_metrics);
+  EXPECT_EQ(process_sink.assignments(), reference_sink.assignments());
   ASSERT_EQ(process_records.size(), thread_records.size());
   EXPECT_TRUE(std::equal(process_records.nodes().begin(),
                          process_records.nodes().end(),
@@ -290,9 +284,9 @@ TEST(ProcessBackend, SpillsUnderBudgetWithoutChangingResults) {
   const CountSpec spec = CountRound(256, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(20000);
 
-  CollectingSink thread_sink;
-  const MapReduceMetrics thread_metrics =
-      RunRound(spec, std::span<const uint32_t>(inputs), &thread_sink);
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
 
   CollectingSink process_sink;
   const MapReduceMetrics process_metrics = RunRound(
@@ -302,8 +296,8 @@ TEST(ProcessBackend, SpillsUnderBudgetWithoutChangingResults) {
 
   EXPECT_GT(process_metrics.shuffle.pages_spilled, 0u);
   EXPECT_GT(process_metrics.shuffle.spill_files, 0u);
-  EXPECT_TRUE(process_metrics == thread_metrics);
-  EXPECT_EQ(process_sink.assignments(), thread_sink.assignments());
+  EXPECT_TRUE(process_metrics == reference_metrics);
+  EXPECT_EQ(process_sink.assignments(), reference_sink.assignments());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 // Differential property test for the memory-bounded spilling shuffle
 // (mapreduce/spill.h): random counting and enumeration workloads, run
-// under every budget x shuffle mode x thread count combination, must be
+// under every budget x partition count x thread count combination, must be
 // byte-identical — same sink emissions in the same order, same semantic
-// metrics — to the unbounded serial reference. The budget knob may change
-// ShuffleStats' spill counters and nothing else; that exact equality is
-// the acceptance oracle of the spill subsystem.
+// metrics — to the engine-free ReferenceRound (tests/test_util.h). The
+// budget knob may change ShuffleStats' spill counters and nothing else;
+// that exact equality is the acceptance oracle of the spill subsystem.
 //
 // Alongside equality the test pins the two quantitative contracts:
 //  * the memory bound — resident shuffle bytes left at the end of the map
@@ -24,6 +24,7 @@
 
 #include "mapreduce/job.h"
 #include "mapreduce/spill.h"
+#include "tests/test_util.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 
@@ -67,10 +68,7 @@ uint64_t KeyFor(const FuzzRound& spec, int input, int emission) {
 
 /// Enumeration-shaped round: several emissions per input, reducers emit
 /// instances for a value subset (order-sensitive through the sink).
-MapReduceMetrics RunEnumeration(const FuzzRound& spec,
-                                const std::vector<int>& inputs,
-                                InstanceSink* sink,
-                                const ExecutionPolicy& policy) {
+RoundSpec<int, int> EnumerationRound(const FuzzRound& spec) {
   auto map_fn = [spec](const int& input, Emitter<int>* out) {
     const unsigned emissions =
         SplitMix64(static_cast<uint64_t>(input) ^ spec.seed) % 4;
@@ -89,10 +87,16 @@ MapReduceMetrics RunEnumeration(const FuzzRound& spec,
       }
     }
   };
+  return RoundSpec<int, int>{"spill-fuzz-enum", map_fn, reduce_fn,
+                             spec.key_space, {}};
+}
+
+MapReduceMetrics RunEnumeration(const FuzzRound& spec,
+                                const std::vector<int>& inputs,
+                                InstanceSink* sink,
+                                const ExecutionPolicy& policy) {
   JobDriver driver(policy);
-  return driver.RunRound(RoundSpec<int, int>{"spill-fuzz-enum", map_fn,
-                                             reduce_fn, spec.key_space, {}},
-                         inputs, sink);
+  return driver.RunRound(EnumerationRound(spec), inputs, sink);
 }
 
 /// Counting-shaped round with a declared combiner: under a budget the
@@ -101,10 +105,7 @@ MapReduceMetrics RunEnumeration(const FuzzRound& spec,
 /// resident tail; the reduce-side fold must still reassemble the exact
 /// total, and the *semantic* metrics (key_value_pairs counts logical
 /// emissions) must not see any of that.
-MapReduceMetrics RunCounting(const FuzzRound& spec,
-                             const std::vector<int>& inputs,
-                             InstanceSink* sink,
-                             const ExecutionPolicy& policy) {
+RoundSpec<int, uint64_t> CountingRound(const FuzzRound& spec) {
   auto map_fn = [spec](const int& input, Emitter<uint64_t>* out) {
     out->Emit(KeyFor(spec, input, 0), 1);
     out->Emit(KeyFor(spec, input, 1), static_cast<uint64_t>(input));
@@ -120,32 +121,34 @@ MapReduceMetrics RunCounting(const FuzzRound& spec,
   RoundSpec<int, uint64_t> round{"spill-fuzz-count", map_fn, reduce_fn,
                                  spec.key_space, {}};
   round.combiner = [](uint64_t& acc, const uint64_t& in) { acc += in; };
-  JobDriver driver(policy);
-  return driver.RunRound(round, inputs, sink);
+  return round;
 }
 
+MapReduceMetrics RunCounting(const FuzzRound& spec,
+                             const std::vector<int>& inputs,
+                             InstanceSink* sink,
+                             const ExecutionPolicy& policy) {
+  JobDriver driver(policy);
+  return driver.RunRound(CountingRound(spec), inputs, sink);
+}
+
+// One global partition, the auto count (1 at one thread), and three.
 std::vector<ExecutionPolicy> BudgetedPolicies() {
   std::vector<ExecutionPolicy> policies;
   for (const unsigned threads : kThreadCounts) {
     for (const uint64_t budget : kBudgets) {
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kSort)
-                             .WithBudget(budget));
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kPartitioned)
-                             .WithBudget(budget));
-      policies.push_back(ExecutionPolicy::WithThreads(threads)
-                             .WithShuffle(ShuffleMode::kPartitioned)
-                             .WithPartitions(3)
-                             .WithBudget(budget));
+      for (const unsigned partitions : {1u, 0u, 3u}) {
+        policies.push_back(ExecutionPolicy::WithThreads(threads)
+                               .WithPartitions(partitions)
+                               .WithBudget(budget));
+      }
     }
   }
   return policies;
 }
 
 std::string Describe(const ExecutionPolicy& policy) {
-  return "threads=" + std::to_string(policy.num_threads) + " mode=" +
-         (policy.shuffle == ShuffleMode::kSort ? "sort" : "partitioned") +
+  return "threads=" + std::to_string(policy.num_threads) +
          " partitions=" + std::to_string(policy.shuffle_partitions) +
          " budget=" + std::to_string(policy.shuffle_budget_bytes);
 }
@@ -197,8 +200,8 @@ TEST(SpillShuffleFuzz, EnumerationMatchesUnboundedReferenceExactly) {
   for (const FuzzRound& spec : specs) {
     const std::vector<int> inputs = MakeInputs(spec);
     CollectingSink reference_sink;
-    const MapReduceMetrics reference = RunEnumeration(
-        spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+    const MapReduceMetrics reference =
+        ReferenceRound(EnumerationRound(spec), inputs, &reference_sink);
 
     for (const ExecutionPolicy& policy : BudgetedPolicies()) {
       CollectingSink sink;
@@ -225,7 +228,7 @@ TEST(SpillShuffleFuzz, CombinerPartialsRefoldAcrossSpills) {
 
     CollectingSink reference_sink;
     const MapReduceMetrics reference =
-        RunCounting(spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+        ReferenceRound(CountingRound(spec), inputs, &reference_sink);
 
     bool spilled_somewhere = false;
     for (const ExecutionPolicy& policy : BudgetedPolicies()) {
@@ -257,7 +260,7 @@ TEST(SpillShuffleFuzz, CountingSinkFastPathMatchesUnderBudget) {
   const std::vector<int> inputs = MakeInputs(spec);
 
   CollectingSink reference_sink;
-  RunEnumeration(spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+  ReferenceRound(EnumerationRound(spec), inputs, &reference_sink);
 
   for (const ExecutionPolicy& policy : BudgetedPolicies()) {
     CountingSink counting;
@@ -282,7 +285,7 @@ TEST(SpillShuffleFuzz, LargeSerialRoundIsGuaranteedToSpill) {
 
   CollectingSink reference_sink;
   const MapReduceMetrics reference =
-      RunEnumeration(spec, inputs, &reference_sink, ExecutionPolicy::Serial());
+      ReferenceRound(EnumerationRound(spec), inputs, &reference_sink);
 
   const ExecutionPolicy policy =
       ExecutionPolicy::Serial().WithBudget(PagePool::kPageBytes);
@@ -302,13 +305,12 @@ TEST(SpillShuffleFuzz, MultiRoundJobPipelinesUnderBudget) {
   // Budgets apply per round inside a JobDriver pipeline; the records
   // channel threaded between rounds must carry identical intermediate
   // records, so the second round's inputs (and outputs) match exactly.
-  auto run = [](const ExecutionPolicy& policy) {
+  // A null policy runs both rounds through ReferenceRound instead.
+  auto run = [](const ExecutionPolicy* policy) {
     std::vector<int> inputs(20000);
     for (size_t i = 0; i < inputs.size(); ++i) {
       inputs[i] = static_cast<int>(SplitMix64(i) % 5000);
     }
-    JobDriver driver(policy);
-    RecordBuffer middle(1);
     auto map1 = [](const int& v, Emitter<int>* out) {
       out->Emit(static_cast<uint64_t>(v) % 997, v);
     };
@@ -321,8 +323,6 @@ TEST(SpillShuffleFuzz, MultiRoundJobPipelinesUnderBudget) {
         }
       }
     };
-    driver.RunRound(RoundSpec<int, int>{"round-1", map1, reduce1, 997, {}},
-                    inputs, nullptr, &middle);
     auto map2 = [](const NodeId& v, Emitter<int>* out) {
       out->Emit(static_cast<uint64_t>(v) % 131, static_cast<int>(v));
     };
@@ -333,18 +333,74 @@ TEST(SpillShuffleFuzz, MultiRoundJobPipelinesUnderBudget) {
         context->EmitInstance(std::span<const NodeId>(&node, 1));
       }
     };
+    const RoundSpec<int, int> first{"round-1", map1, reduce1, 997, {}};
+    const RoundSpec<NodeId, int> second{"round-2", map2, reduce2, 131, {}};
+    RecordBuffer middle(1);
     CollectingSink sink;
-    driver.RunRound(RoundSpec<NodeId, int>{"round-2", map2, reduce2, 131, {}},
-                    middle.nodes(), &sink);
+    if (policy == nullptr) {
+      ReferenceRound(first, inputs, nullptr, &middle);
+      ReferenceRound(second, middle.nodes(), &sink);
+    } else {
+      JobDriver driver(*policy);
+      driver.RunRound(first, inputs, nullptr, &middle);
+      driver.RunRound(second, middle.nodes(), &sink);
+    }
     return sink.assignments();
   };
 
-  const auto reference = run(ExecutionPolicy::Serial());
+  const auto reference = run(nullptr);
   for (const unsigned threads : kThreadCounts) {
-    const auto budgeted =
-        run(ExecutionPolicy::WithThreads(threads).WithBudget(16 * 1024));
-    EXPECT_EQ(budgeted, reference) << "threads=" << threads;
+    const ExecutionPolicy policy =
+        ExecutionPolicy::WithThreads(threads).WithBudget(16 * 1024);
+    EXPECT_EQ(run(&policy), reference) << "threads=" << threads;
   }
+}
+
+TEST(SpillShuffleFuzz, SpilledAndResidentPartitionsMixInOneRound) {
+  // Each partition picks its own path: one with spilled runs is merged
+  // from disk, one without is grouped in memory. Keys in the lower half
+  // of the key space fill partitions 0-1 far past a one-page budget, so
+  // they spill repeatedly; a short tail of upper-half keys, emitted after
+  // the last spill, leaves partitions 2-3 with no runs at all. One thread
+  // makes the spill points deterministic.
+  constexpr uint64_t kKeySpace = 1024;
+  constexpr int kInputs = 30000;
+  constexpr int kTail = 200;
+  auto map_fn = [](const int& input, Emitter<int>* out) {
+    const uint64_t h = SplitMix64(static_cast<uint64_t>(input));
+    const uint64_t key = input < kInputs - kTail
+                             ? h % (kKeySpace / 2)
+                             : kKeySpace / 2 + h % (kKeySpace / 2);
+    out->Emit(key, input);
+  };
+  auto reduce_fn = [](uint64_t key, std::span<const int> values,
+                      ReduceContext* context) {
+    context->cost->edges_scanned += values.size();
+    const NodeId out[2] = {static_cast<NodeId>(key),
+                           static_cast<NodeId>(values.back())};
+    context->EmitInstance(out);
+  };
+  const RoundSpec<int, int> round{"mixed", map_fn, reduce_fn, kKeySpace, {}};
+  std::vector<int> inputs(kInputs);
+  for (int i = 0; i < kInputs; ++i) inputs[static_cast<size_t>(i)] = i;
+
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference =
+      ReferenceRound(round, inputs, &reference_sink);
+
+  const ExecutionPolicy policy = ExecutionPolicy::Serial()
+                                     .WithPartitions(4)
+                                     .WithBudget(PagePool::kPageBytes);
+  CollectingSink sink;
+  JobDriver driver(policy);
+  const MapReduceMetrics metrics = driver.RunRound(round, inputs, &sink);
+  EXPECT_EQ(metrics, reference);
+  EXPECT_EQ(sink.assignments(), reference_sink.assignments());
+  EXPECT_GT(metrics.shuffle.pages_spilled, 0u);
+  // Partitions 2 and 3 were grouped in memory; 0 and 1 were merged.
+  EXPECT_EQ(metrics.shuffle.counting_partitions +
+                metrics.shuffle.sorted_partitions,
+            2u);
 }
 
 }  // namespace

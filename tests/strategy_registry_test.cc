@@ -555,12 +555,37 @@ TEST(StrategyRegistry, CensusFillsCountingSinksViaEmitCount) {
 
 TEST(PolicySpec, ChecksEveryKnobAndRejectsTrailingColon) {
   const ExecutionPolicy policy =
-      PolicyFromSpecs("4", "partition:16", "counting", "off");
+      PolicyFromSpecs("4", "partition:16", "auto", "off");
   EXPECT_EQ(policy.num_threads, 4u);
-  EXPECT_EQ(policy.shuffle, ShuffleMode::kPartitioned);
   EXPECT_EQ(policy.EffectivePartitions(), 16u);
-  EXPECT_EQ(policy.group, GroupMode::kCounting);
   EXPECT_FALSE(policy.combine);
+  EXPECT_EQ(PolicyFromSpecs("1", "partition", "auto", "on")
+                .EffectivePartitions(),
+            1u);
+  EXPECT_EQ(PolicyFromSpecs("4", "partition", "auto", "on")
+                .EffectivePartitions(),
+            16u);
+
+  // The sort shuffle and the counting/sort group modes were removed: their
+  // tokens, like any other, throw with a message saying so.
+  for (const char* shuffle : {"sort", "sort:3", "bogus", "partitioned"}) {
+    try {
+      PolicyFromSpecs("1", shuffle, "auto", "on");
+      ADD_FAILURE() << "shuffle '" << shuffle << "' must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const char* group : {"sort", "counting", "bogus", ""}) {
+    try {
+      PolicyFromSpecs("1", "partition", group, "on");
+      ADD_FAILURE() << "group '" << group << "' must throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("removed"), std::string::npos)
+          << e.what();
+    }
+  }
 
   EXPECT_THROW(PolicyFromSpecs("x", "partition", "auto", "on"),
                std::invalid_argument);
@@ -612,6 +637,19 @@ TEST(PolicySpec, ChecksEveryKnobAndRejectsTrailingColon) {
             std::string::npos);
   EXPECT_EQ(DescribePolicy(ExecutionPolicy::Serial()).find("process"),
             std::string::npos);
+
+  // DescribePolicy names what runs: the partition count (1 at one thread
+  // unless set), the budget when one is set, and no partition count for
+  // the process backend, which does not use it.
+  EXPECT_EQ(DescribePolicy(ExecutionPolicy::Serial()),
+            "1 thread, 1 partition, combine on");
+  EXPECT_EQ(DescribePolicy(PolicyFromSpecs("1", "partition:3", "auto", "on")),
+            "1 thread, 3 partitions, combine on");
+  EXPECT_EQ(DescribePolicy(PolicyFromSpecs("4", "partition", "auto", "off",
+                                           "64K")),
+            "4 threads, 16 partitions, combine off, budget 65536 bytes");
+  EXPECT_EQ(DescribePolicy(process_policy),
+            "2 threads, combine on, process backend (4 workers)");
 }
 
 TEST(StrategyRegistry, WrapperAndDirectQueryShareOneCodePath) {
