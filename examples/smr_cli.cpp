@@ -76,10 +76,11 @@ constexpr const char kHelp[] = R"(usage:
               engine spills sorted runs to temp files and streams them
               back; results are identical, only spill counters change.
   --backend   thread (default) | process[:N]: where engine workers run.
-              process forks N worker processes (default N = threads) that
-              shuffle codec-framed pairs over real sockets; the job table
-              and metrics are identical, and ShuffleStats additionally
-              reports the bytes that crossed the kernel per worker link.
+              process forks N worker processes (default N = threads); map
+              workers write sorted run files that reduce workers merge,
+              so each pair makes one hop. The job table and metrics are
+              identical, and ShuffleStats additionally reports the bytes
+              each map worker shipped and the reducers' output bytes.
   --retries   extra attempts per failed process-backend worker (0-100,
               default 0 = fail fast). A crashed, hung, or corrupted-link
               worker is re-forked on the same input slice / key chunk and
@@ -238,8 +239,9 @@ void ListBackends() {
         "--retries / --deadline-ms / --on-exhausted: deterministic "
         "re-execution of failed workers, liveness deadlines, optional "
         "thread fallback",
-        "codec-framed pairs over socketpairs; ShuffleStats reports "
-        "map/reduce bytes on the wire; census per-node table unavailable"}};
+        "one hop per pair: map run files merged by reduce workers; "
+        "ShuffleStats reports map/reduce bytes; census per-node table "
+        "unavailable"}};
   std::printf("# backend\tspec\tworkers\twire bytes\tfault tolerance\tnotes\n");
   for (size_t i = 0; i < smr::EnumTraits<smr::BackendMode>::kCount; ++i) {
     const BackendRow& row = kRows[i];

@@ -16,8 +16,8 @@ namespace smr {
 
 /// Codec layer: the one serialization vocabulary shared by everything that
 /// moves shuffle data off the heap — the spill store's fixed-size records
-/// (mapreduce/spill.h) and the process backend's wire frames
-/// (mapreduce/process_backend.h).
+/// (mapreduce/spill.h, which are also the process backend's run files) and
+/// the process backend's control frames (mapreduce/process_backend.h).
 ///
 /// Two representations, one value encoding:
 ///
@@ -30,8 +30,8 @@ namespace smr {
 ///    is [varint payload_len][payload]; a pair frame's payload is
 ///    [FrameKind::kPair][varint key][ValueCodec value bytes]. Varint keys
 ///    make typical frames smaller than the in-memory record (reducer ids
-///    are dense near 0), which bench_backend_comm measures against the
-///    paper's key_value_pairs x record_size cost model.
+///    are dense near 0). The process backend's links carry only control
+///    and output frames; its pairs travel as fixed-size records.
 ///
 /// Decoding is *checked*, never trusting the peer: every decode returns a
 /// DecodeStatus, and a frame whose payload is truncated, oversized, or has
@@ -149,7 +149,8 @@ struct ValueCodec<std::pair<A, B>> {
   X(kRecord, 4, "record")                                                  \
   /* varint-packed reduce-shard MapReduceMetrics counters. */              \
   X(kMetrics, 5, "metrics")                                                \
-  /* [flags byte] — coordinator -> reduce worker options. */               \
+  /* Map worker -> coordinator run index: where each partition's runs    \
+     lie in the worker's run file (see process_backend.cc). */             \
   X(kHeader, 6, "header")                                                  \
   /* [utf-8 message] — child exception text. */                            \
   X(kError, 7, "error")
@@ -284,18 +285,14 @@ inline DecodeStatus DecodeFrameChecked(const unsigned char* data, size_t size,
   return DecodeStatus::kOk;
 }
 
-/// Key-value pairs as self-delimiting frames — the process backend's wire
-/// format. Encode and decode are exact inverses, and DecodePair rejects
-/// every way a frame can be wrong: truncation anywhere (kNeedMore),
-/// non-pair kind, short value bytes, or trailing bytes after the value
-/// (kMalformed).
+/// Key-value pairs as self-delimiting frames, for a byte stream that
+/// carries pairs with no out-of-band length. Encode and decode are exact
+/// inverses, and DecodePair rejects every way a frame can be wrong:
+/// truncation anywhere (kNeedMore), non-pair kind, short value bytes, or
+/// trailing bytes after the value (kMalformed).
 template <typename Value>
 struct RecordCodec {
   static constexpr bool kEncodable = ValueCodec<Value>::kEncodable;
-
-  /// Upper bound on one pair frame's size, for batch sizing.
-  static constexpr size_t kMaxFrameSize =
-      kMaxVarintBytes + 1 + kMaxVarintBytes + ValueCodec<Value>::kBytes;
 
   static void EncodePair(uint64_t key, const Value& value,
                          std::vector<unsigned char>* out) {

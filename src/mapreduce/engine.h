@@ -33,7 +33,8 @@ namespace smr {
 ///       in-memory                 partitioned, spilling to the paged
 ///                                 spill store under a budget
 ///                                 (same header, mapreduce/spill.h)
-///       process                   forked workers over codec-framed sockets
+///       process                   forked workers; pairs go one hop, from
+///                                 map run files to reduce workers
 ///                                 (mapreduce/process_backend.h)
 ///                   |
 ///                   v

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <thread>
 
@@ -16,11 +17,12 @@ class FaultInjector;   // mapreduce/fault_injection.h
 
 /// Task-level retry budget for the process backend's fault tolerance
 /// (mapreduce/process_backend.h): a map/reduce worker whose attempt fails
-/// (crash, deadline, corrupt frame, spawn or spill failure) is re-forked
-/// on the same input slice/partition up to max_attempts times total, with
-/// exponential backoff between attempts. Deterministic re-execution plus
-/// the coordinator discarding the failed attempt's partial frames keep
-/// results byte-identical to a fault-free run.
+/// (crash, deadline, corrupt frame, spawn or run-file failure) is
+/// re-forked on the same input slice or partition range up to
+/// max_attempts times total, with exponential backoff between attempts. A
+/// map retry gets a fresh run file, a reduce retry reads the same runs;
+/// deterministic re-execution plus the coordinator discarding the failed
+/// attempt's output keep results byte-identical to a fault-free run.
 struct RetryPolicy {
   /// Total attempts per worker slot (1 = no retries, the default — a
   /// failure surfaces immediately as a WorkerError).
@@ -58,11 +60,12 @@ SMR_DEFINE_ENUM_TRAITS(OnExhausted, SMR_ON_EXHAUSTED_MODES);
   /* Workers are threads of this process sharing the address space — the   \
      default, and the only mode whose shuffle never serializes a pair. */  \
   X(kThread, 0, "thread")                                                  \
-  /* Map and reduce workers are forked child processes exchanging          \
-     codec-framed pairs with a parent-side coordinator over socketpairs    \
-     (mapreduce/process_backend.h). Every shuffled byte really crosses a   \
-     kernel boundary and is counted in ShuffleStats::*_bytes_on_wire —     \
-     the measured communication cost the paper's model predicts. */        \
+  /* Map and reduce workers are forked child processes; each pair makes    \
+     one hop, from a map worker's run file to a reduce worker, while a     \
+     parent-side coordinator only spawns, watches, retries and replays     \
+     (mapreduce/process_backend.h). Every shuffled byte really leaves a    \
+     process and is counted in ShuffleStats::*_bytes_on_wire — the         \
+     measured communication cost the paper's model predicts. */            \
   X(kProcess, 1, "process")
 
 enum class BackendMode { SMR_BACKEND_MODES(SMR_ENUM_DEFINE_ENTRY) };
@@ -80,10 +83,11 @@ struct ExecutionPolicy {
   /// inline on the calling thread (the original serial engine).
   unsigned num_threads = 1;
 
-  /// Key-range partition count of the in-memory shuffle. 0 = auto: 1 for
-  /// a single-threaded round, otherwise a small multiple of num_threads so
-  /// that the dynamic partition queue keeps all workers busy even when key
-  /// ranges are skewed.
+  /// Key-range partition count of the shuffle. 0 = auto: for the
+  /// in-memory shuffle 1 for a single-threaded round, otherwise a small
+  /// multiple of num_threads so that the dynamic partition queue keeps all
+  /// workers busy even when key ranges are skewed; for the process backend
+  /// the same multiple of the worker-process count.
   unsigned shuffle_partitions = 0;
 
   /// Shuffle memory budget in bytes; 0 = unbounded (emissions stay in
@@ -102,7 +106,10 @@ struct ExecutionPolicy {
   uint64_t shuffle_budget_bytes = 0;
 
   /// Spill-file factory for budgeted rounds; null = the process default
-  /// (real temp files). Tests inject fault backends here.
+  /// (real temp files). Tests inject fault backends here. The process
+  /// backend also opens every map worker's run file through it, which
+  /// forked children write and read, so its files must live outside the
+  /// process (on a filesystem), not in its memory.
   SpillBackend* spill_backend = nullptr;
 
   /// Where workers run: in-process threads (default) or forked worker
@@ -258,6 +265,14 @@ struct ExecutionPolicy {
     // 4x oversubscription gives the dynamic queue slack to balance skewed
     // key ranges; the cap bounds per-worker scatter-buffer overhead.
     return std::min(num_threads * 4, 256u);
+  }
+
+  /// Partition count the process backend will actually use: the rule
+  /// above, counted in configured worker processes (map children write
+  /// one run per partition, reduce children take contiguous ranges).
+  unsigned EffectiveProcessPartitions() const {
+    if (shuffle_partitions > 0) return shuffle_partitions;
+    return std::min(EffectiveProcessWorkers(SIZE_MAX) * 4, 256u);
   }
 };
 

@@ -96,7 +96,7 @@ FaultPlan ParseFaultPlan(std::string_view text) {
     }
     if (spec.kind == FaultKind::kFailSpillAppend &&
         spec.role != WorkerRole::kMap) {
-      PlanError("spillfail targets the coordinator's drain of a map link; "
+      PlanError("spillfail targets a map child's run-file appends; "
                 "its role must be map");
     }
     spec.worker = static_cast<unsigned>(
@@ -130,9 +130,11 @@ FaultPlan ParseFaultPlan(std::string_view text) {
 }
 
 /// Delegating backend whose files fail Append while the injector has a
-/// spill failure armed — the drain window of a worker whose plan spec says
-/// kFailSpillAppend. ReadAt always delegates: read faults stay PR 6's
-/// SpillBackend-level concern.
+/// spill failure armed — in a map child whose plan spec says
+/// kFailSpillAppend, which arms its own copy of the injector. The child
+/// cannot reach the coordinator's counters, so the coordinator counts the
+/// fire (CountFire) when that attempt fails. ReadAt always delegates: read
+/// faults stay the SpillBackend-level concern of tests/spill_fault_test.cc.
 class FaultInjector::FaultySpillBackend final : public SpillBackend {
   class FaultyFile final : public SpillFile {
    public:
@@ -141,9 +143,6 @@ class FaultInjector::FaultySpillBackend final : public SpillBackend {
 
     void Append(const void* data, size_t bytes) override {
       if (injector_->spill_failure_armed()) {
-        injector_->kind_fires_[static_cast<int>(
-            FaultKind::kFailSpillAppend)]++;
-        injector_->fires_++;
         throw std::runtime_error("injected spill append failure on " +
                                  inner_->path());
       }
@@ -195,8 +194,8 @@ std::optional<ArmedFault> FaultInjector::ArmSpawn(WorkerRole role,
       continue;
     }
     --remaining_[i];
-    // Spill failures are counted when an append actually throws (the plan
-    // may arm one on a round that never spills); everything else fires by
+    // Spill failures are counted when an append actually throws (a map
+    // child that emits nothing never appends); everything else fires by
     // construction once armed.
     if (spec.kind != FaultKind::kFailSpillAppend) {
       ++fires_;
@@ -215,9 +214,10 @@ SpillBackend* FaultInjector::WrapSpillBackend(SpillBackend* inner) {
   return spill_wrapper_.get();
 }
 
-void FaultInjector::ArmSpillFailure() { spill_failure_armed_ = true; }
-
-void FaultInjector::DisarmSpillFailure() { spill_failure_armed_ = false; }
+void FaultInjector::CountFire(FaultKind kind) {
+  ++fires_;
+  ++kind_fires_[static_cast<int>(kind)];
+}
 
 uint64_t FaultInjector::fires(FaultKind kind) const {
   return kind_fires_[static_cast<int>(kind)];

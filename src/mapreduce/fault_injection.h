@@ -16,12 +16,13 @@ namespace smr {
 /// Deterministic fault-injection harness for the process backend
 /// (mapreduce/process_backend.h) — the generalization of PR 6's
 /// SpillBackend faults to every failure mode a forked worker round has:
-/// a child killed after N frames, a link that stalls, a corrupted frame,
-/// a failed fork, a failed spill append. A FaultPlan is a list of
-/// (role, kind, worker, after, times) specs; the coordinator consults the
-/// installed FaultInjector at every worker (re)spawn, so a plan's effect
-/// is a pure function of the plan — each injected scenario is exactly
-/// reproducible, which is what lets tests assert byte-identical recovery.
+/// a child killed after N records or frames, a link that stalls, a
+/// corrupted frame, a failed fork, a failed run-file append. A FaultPlan
+/// is a list of (role, kind, worker, after, times) specs; the coordinator
+/// consults the installed FaultInjector at every worker (re)spawn, so a
+/// plan's effect is a pure function of the plan — each injected scenario
+/// is exactly reproducible, which is what lets tests assert
+/// byte-identical recovery.
 ///
 /// Installation: ExecutionPolicy::fault_injector (test hook), or the
 /// SMR_FAULT_PLAN environment variable for CI smoke runs (see
@@ -45,20 +46,24 @@ inline const char* WorkerRoleName(WorkerRole role) {
 /// grammar tokens; ParseFaultPlan and FaultKindName both read the
 /// registry, so a new fault kind round-trips with zero parser edits.
 #define SMR_FAULT_KINDS(X)                                                 \
-  /* The child raises SIGKILL after delivering `after_frames` frames (and  \
-     before its end-of-stream frame) — the classic mid-stream crash. */    \
+  /* The child raises SIGKILL — a map child once `after_frames` pair      \
+     records are in its run file, a reduce child after delivering          \
+     `after_frames` output frames; either way before its end-of-stream     \
+     frame (a map child's run-index frame) — the mid-stream crash. */      \
   X(kKillAfterFrames, 0, "kill")                                           \
-  /* The child stops sending after `after_frames` frames and sleeps        \
-     forever — only a liveness deadline can unwedge the coordinator. */    \
+  /* The child stops at the same point as kill and sleeps forever — only  \
+     a liveness deadline can unwedge the coordinator. */                   \
   X(kStallLink, 1, "stall")                                                \
-  /* The child overwrites the kind byte of output frame `after_frames`     \
-     with an invalid value and keeps going — the coordinator must reject   \
+  /* The child overwrites a frame's kind byte with an invalid value and    \
+     keeps going — a map child its run-index frame, a reduce child output  \
+     frame `after_frames`. The coordinator's strict decode must reject     \
      the stream loudly, never decode around it. */                         \
   X(kCorruptFrame, 2, "corrupt")                                           \
   /* The coordinator's fork of this worker fails (as if EAGAIN). */        \
   X(kFailSpawn, 3, "spawnfail")                                            \
-  /* Spill-store appends fail while this map worker's link is drained      \
-     (requires a shuffle budget small enough to actually spill). */        \
+  /* The map child's own appends to its run file fail, so the attempt      \
+     fails with the child's error and is retried (any map child that       \
+     emits a pair appends, with or without a shuffle budget). */           \
   X(kFailSpillAppend, 4, "spillfail")
 
 enum class FaultKind { SMR_FAULT_KINDS(SMR_ENUM_DEFINE_ENTRY) };
@@ -71,7 +76,8 @@ struct FaultSpec {
   FaultKind kind = FaultKind::kKillAfterFrames;
   /// Worker index within the role's crew.
   unsigned worker = 0;
-  /// Output frames the child delivers before the fault fires (kill/stall/
+  /// Records or frames the child delivers before the fault fires (kill/
+  /// stall; see the kinds above) or the output frame it corrupts (a reduce
   /// corrupt). When the plan text omits `after=`, a deterministic value in
   /// [0, 8) is derived from the plan seed and the spec's position.
   uint64_t after_frames = 0;
@@ -97,8 +103,8 @@ struct FaultPlan {
 ///   opt   := "after=" N | "times=" N
 ///
 /// Examples: "map:kill:0", "reduce:stall:1:after=3",
-/// "map:corrupt:2:after=5:times=2;seed=7". spillfail targets the
-/// coordinator's drain of a map link, so its role must be map.
+/// "map:corrupt:2:after=5:times=2;seed=7". spillfail targets a map
+/// child's run-file appends, so its role must be map.
 FaultPlan ParseFaultPlan(std::string_view text);
 
 /// What one (re)spawned worker is armed with: the child-side kinds carry
@@ -109,7 +115,7 @@ struct ArmedFault {
 };
 
 /// Executes a FaultPlan deterministically against the process backend's
-/// spawn/drain lifecycle. All bookkeeping lives in the coordinator: a spec
+/// spawn/collect lifecycle. All bookkeeping lives in the coordinator: a spec
 /// fires on a matching worker's spawn while its `times` budget lasts, so
 /// the sequence of injected faults is identical on every run of the same
 /// plan against the same job.
@@ -130,12 +136,15 @@ class FaultInjector {
   /// injector and stays valid for its lifetime.
   SpillBackend* WrapSpillBackend(SpillBackend* inner);
 
-  /// Arms/disarms spill-append failures around one link's drain (the
-  /// coordinator holds this while draining a worker whose ArmSpawn
-  /// returned kFailSpillAppend).
-  void ArmSpillFailure();
-  void DisarmSpillFailure();
+  /// Makes every append to a wrapped spill file throw. A map child armed
+  /// with kFailSpillAppend calls it on its own copy of the injector, so
+  /// only that child's run-file appends fail.
+  void ArmSpillFailure() { spill_failure_armed_ = true; }
   bool spill_failure_armed() const { return spill_failure_armed_; }
+
+  /// Records that an armed fault fired where ArmSpawn could not see it
+  /// (the coordinator calls it when a spillfail-armed map attempt fails).
+  void CountFire(FaultKind kind);
 
   /// Total faults armed/fired so far, overall and per kind — the counters
   /// tests check retry metrics against.
@@ -153,24 +162,6 @@ class FaultInjector {
   bool spill_failure_armed_ = false;
   uint64_t fires_ = 0;
   uint64_t kind_fires_[EnumTraits<FaultKind>::kCount] = {};
-};
-
-/// RAII arm/disarm of spill-append failures around one drain; no-op when
-/// `arm` is false or `injector` is null.
-class ScopedSpillFailure {
- public:
-  ScopedSpillFailure(FaultInjector* injector, bool arm)
-      : injector_(arm ? injector : nullptr) {
-    if (injector_ != nullptr) injector_->ArmSpillFailure();
-  }
-  ~ScopedSpillFailure() {
-    if (injector_ != nullptr) injector_->DisarmSpillFailure();
-  }
-  ScopedSpillFailure(const ScopedSpillFailure&) = delete;
-  ScopedSpillFailure& operator=(const ScopedSpillFailure&) = delete;
-
- private:
-  FaultInjector* injector_;
 };
 
 /// The process-wide injector parsed from $SMR_FAULT_PLAN; null when the

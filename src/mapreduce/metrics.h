@@ -32,7 +32,7 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
 /// MapReduceMetrics equality. A field promoted to SEMANTIC automatically
 /// joins the equality fold via SemanticallyEqual below.
 #define SMR_SHUFFLE_STATS_FIELDS(SEMANTIC, DIAGNOSTIC)                     \
-  /* Key-range partitions of the in-memory shuffle (0 = process). */      \
+  /* Key-range partitions of the shuffle (either backend). */             \
   DIAGNOSTIC(uint64_t, partitions)                                         \
   /* Key-value pairs in the heaviest partition (shuffle-level skew). */    \
   DIAGNOSTIC(uint64_t, max_partition_pairs)                                \
@@ -55,20 +55,24 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
      shuffle_budget_bytes > 0; see mapreduce/spill.h): fixed-size KV       \
      pages written to spill files, serialized bytes spilled, and temp      \
      files created. All zero for unbounded rounds and for budgeted rounds  \
-     whose resident volume never crossed the budget. */                    \
+     whose resident volume never crossed the budget. On the process        \
+     backend they count each map worker's early spills into its run file,  \
+     not the end-of-map flush every map worker writes. */                  \
   DIAGNOSTIC(uint64_t, pages_spilled)                                      \
   DIAGNOSTIC(uint64_t, bytes_spilled)                                      \
   DIAGNOSTIC(uint64_t, spill_files)                                        \
   /* Process-backend accounting (BackendMode::kProcess; see                \
      mapreduce/process_backend.h): worker processes forked for the round,  \
-     and bytes that *really* crossed the kernel socket boundary as         \
-     codec-framed records — map workers -> coordinator during the shuffle  \
-     (`map_bytes_on_wire`) and coordinator <-> reduce workers              \
-     (`reduce_bytes_on_wire`). `link_bytes_on_wire[w]` splits the map      \
-     volume per worker link. These are the measured counterpart of the     \
-     paper's `key_value_pairs x record_size` communication cost            \
-     (bench/bench_backend_comm.cc plots one against the other); all zero   \
-     under the thread backend, where no pair is ever serialized. */        \
+     and bytes that *really* left a worker process. Pairs make one hop,    \
+     map worker -> reduce worker, through the map worker's run file:       \
+     `link_bytes_on_wire[w]` is map worker w's run-file bytes plus the     \
+     control frames on its socket, and `map_bytes_on_wire` their sum —     \
+     the measured counterpart of the paper's `key_value_pairs x            \
+     record_size` communication cost (bench/bench_backend_comm.cc plots    \
+     one against the other). `reduce_bytes_on_wire` counts only the        \
+     reduce workers' output frames (instances, records, metrics). Only a   \
+     worker's successful attempt counts; all zero under the thread         \
+     backend, where no pair is ever serialized. */                         \
   DIAGNOSTIC(uint64_t, process_workers)                                    \
   DIAGNOSTIC(uint64_t, map_bytes_on_wire)                                  \
   DIAGNOSTIC(uint64_t, reduce_bytes_on_wire)                               \
@@ -76,9 +80,11 @@ enum class MetricsFieldClass { kSemantic, kDiagnostic };
   /* Fault-tolerance accounting for the process backend (see               \
      mapreduce/process_backend.h): worker attempts that failed and were    \
      re-forked (`worker_retries`), frames decoded from a failed attempt    \
-     and discarded before the deterministic re-execution                   \
-     (`frames_discarded`), workers SIGKILLed for missing the policy's      \
-     progress deadline (`deadline_kills`), and rounds re-run on the        \
+     — a reduce worker's output frames, a map worker's control frames —    \
+     and discarded before the re-execution (`frames_discarded`; a failed   \
+     map attempt's pairs go with its dropped run file, uncounted), workers \
+     SIGKILLed for missing the policy's progress deadline                  \
+     (`deadline_kills`), and rounds re-run on the                          \
      in-memory backend after a worker slot exhausted its retry budget      \
      (`thread_fallbacks`, under OnExhausted::kFallbackThread). All zero    \
      on a fault-free run — a retried round's results are byte-identical    \

@@ -65,8 +65,9 @@ class KeyPartitioner {
 };
 
 /// Collects the key-value pairs emitted by a mapper: either into one flat
-/// vector (a process-backend map worker) or scattered across one bucket per
-/// destination partition (the in-memory shuffle). With a combiner, repeated
+/// vector (the engine-free reference round tests compare against) or
+/// scattered across one bucket per destination partition (both shuffle
+/// backends). With a combiner, repeated
 /// emissions of a key fold into the key's existing pair instead of
 /// appending (map-side pre-aggregation); `emitted()` still counts every
 /// logical emission, which is what the round's communication-cost metric

@@ -22,8 +22,8 @@ namespace smr {
 /// mapper emission order, semantic metrics and sink emissions are
 /// byte-identical for every policy — and differ only in *how* the pairs
 /// travel: through this process's memory, spilling to temp files under a
-/// budget (InMemoryShuffleBackend below), or as codec-framed records over
-/// sockets between forked worker processes (mapreduce/process_backend.h).
+/// budget (InMemoryShuffleBackend below), or from forked map workers' run
+/// files to forked reduce workers (mapreduce/process_backend.h).
 /// engine.h's RunRound selects a backend from the ExecutionPolicy;
 /// nothing else instantiates one.
 template <typename Input, typename Value>

@@ -332,10 +332,12 @@ class SpillChannel {
         [](const Pair& a, const Pair& b) { return a.first < b.first; });
   }
 
+ public:
   /// Writes every non-empty bucket as one sorted run, in partition order,
   /// and releases the spilled bytes back to the pool. Buckets give their
   /// heap storage back too — a cleared vector that keeps its capacity
-  /// would defeat the budget.
+  /// would defeat the budget. The process backend's map workers also call
+  /// it once, as their end-of-map flush.
   void Spill() {
     if (file_ == nullptr) file_ = pool_->CreateFile();
     if (scratch_.empty()) scratch_.resize(PagePool::kPageBytes);
@@ -368,6 +370,7 @@ class SpillChannel {
     resident_bytes_ -= spilled_bytes;
   }
 
+ private:
   PagePool* pool_;
   std::vector<std::vector<Pair>> buckets_;
   std::vector<PartitionRuns> spilled_;

@@ -27,7 +27,7 @@ namespace smr {
   X(kCorruptFrame, 3, "corrupt-frame")                                     \
   /* socketpair/fork for the worker failed. */                             \
   X(kSpawnFailure, 4, "spawn-failure")                                     \
-  /* The coordinator's spill store failed during the drain. */             \
+  /* A map worker's run file could not be opened or written. */           \
   X(kSpillFailure, 5, "spill-failure")
 
 enum class WorkerErrorKind { SMR_WORKER_ERROR_KINDS(SMR_ENUM_DEFINE_ENTRY) };

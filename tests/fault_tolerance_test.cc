@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <span>
 #include <stdexcept>
@@ -29,6 +31,7 @@
 #include "mapreduce/job.h"
 #include "mapreduce/metrics.h"
 #include "mapreduce/policy_spec.h"
+#include "mapreduce/spill.h"
 #include "mapreduce/worker_error.h"
 #include "tests/test_util.h"
 
@@ -264,9 +267,9 @@ TEST(FaultTolerance, StalledReduceWorkerIsKilledByDeadlineAndRetried) {
   EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
 }
 
-// A spill append that fails while one map link is drained (the budget is
-// tight enough that the round really spills) discards the attempt, retries
-// with a healthy store, and matches the unbudgeted thread run.
+// A run-file append that fails in one map child (under a budget tight
+// enough that the round also spills early runs) discards the attempt,
+// retries with a healthy file, and matches the unbudgeted thread run.
 TEST(FaultTolerance, SpillAppendFailureIsRetriedWithoutChangingResults) {
   const CountSpec spec = CountRound(256, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(20000);
@@ -285,6 +288,101 @@ TEST(FaultTolerance, SpillAppendFailureIsRetriedWithoutChangingResults) {
   EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
   EXPECT_EQ(injector.fires(FaultKind::kFailSpillAppend), 1u);
   EXPECT_GT(metrics.shuffle.pages_spilled, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Run files: retries are file-granular
+// ---------------------------------------------------------------------------
+
+/// Spill backend that audits the run files the coordinator opens — one
+/// per map attempt. The files are real temp files, so the forked children
+/// that inherit them read and write the same bytes.
+class AuditingSpillBackend final : public SpillBackend {
+ public:
+  std::unique_ptr<SpillFile> Create() override {
+    ++created_;
+    return std::make_unique<AuditedFile>(DefaultSpillBackend().Create(),
+                                         this);
+  }
+
+  uint64_t created() const { return created_; }
+  uint64_t open() const { return open_; }
+  uint64_t max_open() const { return max_open_; }
+
+ private:
+  class AuditedFile final : public SpillFile {
+   public:
+    AuditedFile(std::unique_ptr<SpillFile> inner, AuditingSpillBackend* audit)
+        : inner_(std::move(inner)), audit_(audit) {
+      ++audit_->open_;
+      audit_->max_open_ = std::max(audit_->max_open_, audit_->open_);
+    }
+    ~AuditedFile() override { --audit_->open_; }
+    void Append(const void* data, size_t bytes) override {
+      inner_->Append(data, bytes);
+    }
+    void ReadAt(uint64_t offset, void* out, size_t bytes) override {
+      inner_->ReadAt(offset, out, bytes);
+    }
+    const std::string& path() const override { return inner_->path(); }
+
+   private:
+    std::unique_ptr<SpillFile> inner_;
+    AuditingSpillBackend* audit_;
+  };
+
+  uint64_t created_ = 0;
+  uint64_t open_ = 0;
+  uint64_t max_open_ = 0;
+};
+
+// A killed reducer is re-forked over the runs the map workers already
+// wrote: no map worker reruns, so no run file is opened twice.
+TEST(FaultTolerance, ReduceRetryReusesMapRuns) {
+  const CountSpec spec = CountRound(50, /*with_combiner=*/false);
+  const std::vector<uint32_t> inputs = Iota(1000);
+
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
+
+  AuditingSpillBackend audit;
+  FaultInjector injector(ParseFaultPlan("reduce:kill:0"));
+  CollectingSink sink;
+  const MapReduceMetrics metrics =
+      RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+               FaultyPolicy(3, &injector).WithSpillBackend(&audit));
+  EXPECT_TRUE(metrics == reference_metrics);
+  EXPECT_EQ(sink.assignments(), reference_sink.assignments());
+  EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
+  EXPECT_EQ(injector.fires(), 1u);
+  EXPECT_EQ(audit.created(), 3u);  // one per map worker
+  EXPECT_EQ(audit.open(), 0u);
+}
+
+// A killed mapper's run file is dropped before its retry opens a fresh
+// one, and nothing is left open once the round is over.
+TEST(FaultTolerance, FailedMapAttemptDropsItsRuns) {
+  const CountSpec spec = CountRound(50, /*with_combiner=*/false);
+  const std::vector<uint32_t> inputs = Iota(1000);
+
+  CollectingSink reference_sink;
+  const MapReduceMetrics reference_metrics =
+      ReferenceRound(spec, std::span<const uint32_t>(inputs), &reference_sink);
+
+  AuditingSpillBackend audit;
+  FaultInjector injector(ParseFaultPlan("map:kill:0"));
+  CollectingSink sink;
+  const MapReduceMetrics metrics =
+      RunRound(spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+               FaultyPolicy(3, &injector).WithSpillBackend(&audit));
+  EXPECT_TRUE(metrics == reference_metrics);
+  EXPECT_EQ(sink.assignments(), reference_sink.assignments());
+  EXPECT_EQ(metrics.shuffle.worker_retries, 1u);
+  EXPECT_EQ(injector.fires(), 1u);
+  EXPECT_EQ(audit.created(), 4u);  // 3 map workers + 1 retried attempt
+  EXPECT_EQ(audit.max_open(), 3u);
+  EXPECT_EQ(audit.open(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 // Differential and crash tests for the process backend
-// (mapreduce/process_backend.h): forked map/reduce workers over
-// codec-framed socketpairs must produce byte-identical instances, order,
-// and semantic metrics to the in-thread backend (and, round by round, to
-// the engine-free ReferenceRound) for every worker count and spill
-// budget — and a worker that dies or throws must surface as a
-// runtime_error naming the worker, never as a hang.
+// (mapreduce/process_backend.h): forked map workers writing run files and
+// forked reduce workers merging them must produce byte-identical
+// instances, order, and semantic metrics to the in-thread backend (and,
+// round by round, to the engine-free ReferenceRound) for every worker
+// count and spill budget — and a worker that dies or throws must surface
+// as a runtime_error naming the worker, never as a hang.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -267,6 +267,25 @@ TEST(ProcessBackend, CountsBytesOnTheWirePerLink) {
   EXPECT_LE(stats.map_bytes_on_wire * 2, stats.shuffle_bytes * 3);
 }
 
+// One hop: a pair travels from a map child's run file straight to a
+// reduce child, so on a round with many pairs and few outputs the reduce
+// links carry only the output frames — never a second copy of the pairs.
+TEST(ProcessBackend, PairsCrossOneHop) {
+  const CountSpec spec = CountRound(16, /*with_combiner=*/false);
+  const std::vector<uint32_t> inputs = Iota(20000);
+
+  CollectingSink sink;
+  const MapReduceMetrics metrics = RunRound(
+      spec, std::span<const uint32_t>(inputs), &sink, nullptr,
+      ExecutionPolicy::Serial().WithBackend(BackendMode::kProcess, 4));
+  const ShuffleStats& stats = metrics.shuffle;
+
+  EXPECT_EQ(metrics.outputs, 16u);
+  EXPECT_GE(stats.map_bytes_on_wire, stats.shuffle_bytes);
+  EXPECT_GT(stats.reduce_bytes_on_wire, 0u);
+  EXPECT_LT(stats.reduce_bytes_on_wire * 4, stats.map_bytes_on_wire);
+}
+
 TEST(ProcessBackend, ThreadBackendLeavesWireCountersZero) {
   const CountSpec spec = CountRound(64, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(500);
@@ -278,8 +297,8 @@ TEST(ProcessBackend, ThreadBackendLeavesWireCountersZero) {
   EXPECT_TRUE(metrics.shuffle.link_bytes_on_wire.empty());
 }
 
-// A tight budget makes the coordinator's per-link channels spill to disk;
-// semantics must be identical to the unbudgeted thread run.
+// A tight budget makes each map child's channel spill early runs into its
+// run file; semantics must be identical to the unbudgeted thread run.
 TEST(ProcessBackend, SpillsUnderBudgetWithoutChangingResults) {
   const CountSpec spec = CountRound(256, /*with_combiner=*/false);
   const std::vector<uint32_t> inputs = Iota(20000);

@@ -52,12 +52,7 @@ import sys
 HEADER_BUDGET_LINES = 400
 
 # Documented exemptions from the engine-header budget: path -> reason.
-HEADER_BUDGET_EXEMPT = {
-    "src/mapreduce/process_backend.h":
-        "single-coordinator process backend; PR 9 rebuilt it as one "
-        "header-only state machine on purpose (fork/exec lifecycle, "
-        "retry bookkeeping, and drain loop are one indivisible unit)",
-}
+HEADER_BUDGET_EXEMPT = {}
 
 # Nondeterminism sources and the files allowed to use each. Patterns are
 # regexes matched per line; comment-only lines are skipped first.
