@@ -8,7 +8,8 @@
 
 #include <cstdio>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
+#include "cq/cq_generation.h"
 #include "graph/generators.h"
 #include "serial/convertible.h"
 #include "serial/decomposition.h"
@@ -28,13 +29,12 @@ void Run() {
                                   SampleGraph::Square(),
                                   SampleGraph::Lollipop()};
   for (const auto& pattern : patterns) {
-    const SubgraphEnumerator enumerator(pattern);
     CostCounter serial_cost;
     // Serial baseline: the CQ evaluator on the whole graph (the same kernel
     // the reducers run), so the comparison is apples to apples.
     const CqEvaluator evaluator(g, NodeOrder::Identity(g.num_nodes()));
     const uint64_t serial_found =
-        evaluator.EvaluateAll(enumerator.cqs(), nullptr, &serial_cost);
+        evaluator.EvaluateAll(CqsForSample(pattern), nullptr, &serial_cost);
     std::printf("%s  instances=%llu serial_ops=%llu\n",
                 pattern.ToString().c_str(),
                 static_cast<unsigned long long>(serial_found),
@@ -42,7 +42,11 @@ void Run() {
     std::printf("  %4s %12s %14s %12s %8s\n", "b", "reducers", "reduce_ops",
                 "outputs", "ratio");
     for (int b : {2, 3, 4, 6}) {
-      const auto metrics = enumerator.RunBucketOriented(g, b, 1, nullptr);
+      const auto metrics =
+          StrategyRegistry::Global()
+              .Run(EnumerationQuery::Undirected(pattern, g)
+                       .WithStrategy("bucket:" + std::to_string(b)))
+              .metrics;
       std::printf("  %4d %12llu %14llu %12llu %8.2f\n", b,
                   static_cast<unsigned long long>(metrics.key_space),
                   static_cast<unsigned long long>(metrics.reduce_cost.Total()),

@@ -9,7 +9,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "graph/intersect.h"
 #include "mapreduce/thread_pool.h"
 #include "cq/cq_evaluator.h"
@@ -103,11 +103,13 @@ BENCHMARK(BM_CqEvaluatorSquare);
 
 void BM_BucketOrientedTriangles(benchmark::State& state) {
   const Graph g = ErdosRenyi(2000, 10000, 4);
-  const SubgraphEnumerator enumerator(SampleGraph::Triangle());
-  const int b = static_cast<int>(state.range(0));
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const std::string spec = "bucket:" + std::to_string(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        enumerator.RunBucketOriented(g, b, 1, nullptr).outputs);
+        StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(triangle, g).WithStrategy(spec))
+            .instances);
   }
 }
 BENCHMARK(BM_BucketOrientedTriangles)->Arg(2)->Arg(4)->Arg(8);

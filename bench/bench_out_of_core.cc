@@ -23,8 +23,9 @@
 #include <cstring>
 #include <string>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "graph/generators.h"
+#include "graph/sample_graph.h"
 #include "graph/io.h"
 #include "mapreduce/execution_policy.h"
 #include "util/parse.h"
@@ -112,14 +113,21 @@ int Run(int argc, char** argv) {
   const uint64_t baseline_rss = PeakRssBytes();
   std::printf("rss:     %.1f MB after load\n", Mb(baseline_rss));
 
-  const SubgraphEnumerator triangle(SampleGraph::Triangle());
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const std::string spec = "bucket:" + std::to_string(bucket);
   const ExecutionPolicy budgeted =
       ExecutionPolicy::WithThreads(threads).WithBudget(budget);
 
   // Budgeted run first — see the header comment on ru_maxrss.
   CountingSink counting;
   const MapReduceMetrics metrics =
-      triangle.RunBucketOriented(graph, bucket, seed, &counting, budgeted);
+      StrategyRegistry::Global()
+          .Run(EnumerationQuery::Undirected(triangle, graph)
+                   .WithStrategy(spec)
+                   .WithSeed(seed)
+                   .WithPolicy(budgeted)
+                   .WithSink(&counting))
+          .metrics;
   const uint64_t peak_rss = PeakRssBytes();
   const double volume_ratio =
       static_cast<double>(metrics.shuffle.shuffle_bytes) /
@@ -150,9 +158,14 @@ int Run(int argc, char** argv) {
   int failures = 0;
   if (verify) {
     CountingSink unbounded_count;
-    const MapReduceMetrics unbounded = triangle.RunBucketOriented(
-        graph, bucket, seed, &unbounded_count,
-        ExecutionPolicy::WithThreads(threads));
+    const MapReduceMetrics unbounded =
+        StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(triangle, graph)
+                     .WithStrategy(spec)
+                     .WithSeed(seed)
+                     .WithPolicy(ExecutionPolicy::WithThreads(threads))
+                     .WithSink(&unbounded_count))
+            .metrics;
     const bool equal = metrics == unbounded &&
                        counting.count() == unbounded_count.count();
     std::printf("verify:  unbounded run %s (%llu triangles)\n",

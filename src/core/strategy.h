@@ -138,9 +138,10 @@ struct EnumerationQuery {
   const DirectedSampleGraph* directed_pattern = nullptr;
   const DirectedGraph* directed_graph = nullptr;
 
-  /// Optional pre-generated CQ set for `pattern` (Section 3). When null,
-  /// strategies that need it generate it on the fly; SubgraphEnumerator
-  /// passes its cached set so repeated runs don't regenerate.
+  /// Optional pre-generated CQ set for `pattern` (Section 3): attach
+  /// CqsForSample(pattern) to keep CQ generation out of a timed run or to
+  /// share one set across runs. When null, strategies that need it
+  /// generate it on the fly; either way the run is identical.
   const std::vector<ConjunctiveQuery>* cqs = nullptr;
 
   StrategySpec spec;

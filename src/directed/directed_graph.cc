@@ -24,8 +24,8 @@ DirectedGraph::DirectedGraph(NodeId num_nodes, std::vector<Arc> arcs)
     ++out_degree[a.first];
     ++in_degree[a.second];
   }
-  out_offsets_.assign(num_nodes_ + 1, 0);
-  in_offsets_.assign(num_nodes_ + 1, 0);
+  out_offsets_.assign(size_t{num_nodes_} + 1, 0);
+  in_offsets_.assign(size_t{num_nodes_} + 1, 0);
   for (NodeId u = 0; u < num_nodes_; ++u) {
     out_offsets_[u + 1] = out_offsets_[u] + out_degree[u];
     in_offsets_[u + 1] = in_offsets_[u] + in_degree[u];

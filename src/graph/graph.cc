@@ -28,12 +28,12 @@ Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   edges_ = std::move(edges);
 
-  std::vector<size_t> degree(num_nodes_ + 1, 0);
+  std::vector<size_t> degree(size_t{num_nodes_} + 1, 0);
   for (const Edge& e : edges_) {
     ++degree[e.first];
     ++degree[e.second];
   }
-  offsets_.assign(num_nodes_ + 2, 0);
+  offsets_.assign(size_t{num_nodes_} + 2, 0);
   for (NodeId u = 0; u < num_nodes_; ++u) {
     offsets_[u + 1] = offsets_[u] + degree[u];
     max_degree_ = std::max(max_degree_, degree[u]);

@@ -4,26 +4,41 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/parse.h"
+
 namespace smr {
 
 Graph ReadEdgeList(std::istream& in) {
+  // num_nodes = max id + 1 must itself fit in a NodeId.
+  constexpr uint64_t kMaxId = std::numeric_limits<NodeId>::max() - 1;
   std::vector<Edge> edges;
   NodeId max_id = 0;
   std::string line;
-  while (std::getline(in, line)) {
+  for (uint64_t line_number = 1; std::getline(in, line); ++line_number) {
     const size_t hash = line.find('#');
     if (hash != std::string::npos) line.resize(hash);
     std::istringstream fields(line);
-    uint64_t u = 0;
-    uint64_t v = 0;
-    if (!(fields >> u >> v)) continue;
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
-    max_id = std::max<NodeId>(max_id, static_cast<NodeId>(std::max(u, v)));
+    std::string u_text;
+    std::string v_text;
+    std::string extra;
+    if (!(fields >> u_text)) continue;  // blank or comment-only line
+    fields >> v_text;
+    const std::optional<uint64_t> u = ParseUint64(u_text);
+    const std::optional<uint64_t> v = ParseUint64(v_text);
+    if (!u || !v || *u > kMaxId || *v > kMaxId || fields >> extra) {
+      throw std::runtime_error("edge list line " + std::to_string(line_number) +
+                               ": expected two node ids in [0, " +
+                               std::to_string(kMaxId) + "], got \"" + line +
+                               "\"");
+    }
+    edges.emplace_back(static_cast<NodeId>(*u), static_cast<NodeId>(*v));
+    max_id = std::max<NodeId>(max_id, static_cast<NodeId>(std::max(*u, *v)));
   }
   const NodeId num_nodes = edges.empty() ? 0 : max_id + 1;
   return Graph(num_nodes, std::move(edges));

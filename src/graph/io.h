@@ -10,7 +10,9 @@ namespace smr {
 
 /// Reads a whitespace-separated edge list ("u v" per line, '#' comments).
 /// Node ids need not be contiguous; they are kept as given and num_nodes is
-/// max id + 1.
+/// max id + 1. A line that is not blank or a comment must hold exactly two
+/// ids in [0, 2^32 - 2]; anything else throws std::runtime_error naming
+/// the line number.
 Graph ReadEdgeList(std::istream& in);
 
 /// Reads an edge-list file from disk. Throws std::runtime_error on failure.

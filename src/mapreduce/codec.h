@@ -19,24 +19,21 @@ namespace smr {
 /// (mapreduce/spill.h, which are also the process backend's run files) and
 /// the process backend's control frames (mapreduce/process_backend.h).
 ///
-/// Two representations, one value encoding:
+/// Two representations:
 ///
-///  * ValueCodec<V> — fixed-size byte serialization of a shuffle value
-///    (formerly SpillTraits' Store/Load). Fixed size is what the spill
-///    path needs: runs are read back at computed offsets, so records must
-///    all be sizeof(uint64_t) + ValueCodec<V>::kBytes long.
-///  * RecordCodec<Value> — self-delimiting length-prefixed varint *frames*
-///    for byte streams with no out-of-band length (sockets/pipes). A frame
-///    is [varint payload_len][payload]; a pair frame's payload is
-///    [FrameKind::kPair][varint key][ValueCodec value bytes]. Varint keys
-///    make typical frames smaller than the in-memory record (reducer ids
-///    are dense near 0). The process backend's links carry only control
-///    and output frames; its pairs travel as fixed-size records.
+///  * ValueCodec<V> — fixed-size byte serialization of a shuffle value.
+///    Fixed size is what the spill path needs: runs are read back at
+///    computed offsets, so records must all be
+///    sizeof(uint64_t) + ValueCodec<V>::kBytes long. Pairs travel only
+///    this way, in memory, in spill runs, and in the process backend's
+///    run files.
+///  * Frames — self-delimiting [varint payload_len][FrameKind][body]
+///    messages for the process backend's socket links, which carry only
+///    control and output frames (never pairs).
 ///
-/// Decoding is *checked*, never trusting the peer: every decode returns a
-/// DecodeStatus, and a frame whose payload is truncated, oversized, or has
-/// trailing bytes after the value is kMalformed — a wrong byte can fail a
-/// round but can never yield a silently wrong pair
+/// Decoding is *checked*, never trusting the peer: DecodeFrameChecked
+/// throws on any byte sequence that cannot be a frame, so a wrong byte
+/// can fail a round but can never be read as a different frame
 /// (tests/codec_test.cc pins this in the graph_io_test malformed-input
 /// style).
 
@@ -139,8 +136,6 @@ struct ValueCodec<std::pair<A, B>> {
 /// check below — adding a frame kind anywhere else is impossible, and the
 /// contiguity static_assert keeps IsFrameKindByte an exact membership test.
 #define SMR_FRAME_KINDS(X)                                                 \
-  /* [varint key][ValueCodec value] — one shuffled pair. */                \
-  X(kPair, 1, "pair")                                                      \
   /* [varint count] — link drained; count = logical pairs. */              \
   X(kEnd, 2, "end")                                                        \
   /* [varint arity][varint node]* — reducer EmitInstance. */               \
@@ -203,35 +198,13 @@ inline void AppendFrame(FrameKind kind, const unsigned char* body,
   out->insert(out->end(), body, body + body_bytes);
 }
 
-/// Decodes one frame from [data, data + size). kMalformed on an empty
-/// payload (no kind byte), an unknown kind, or a length beyond
-/// kMaxFrameBytes; kNeedMore when the window ends inside the frame.
-inline DecodeStatus DecodeFrame(const unsigned char* data, size_t size,
-                                FrameView* frame, size_t* consumed) {
-  uint64_t payload_len = 0;
-  size_t header = 0;
-  const DecodeStatus status = GetVarint(data, size, &payload_len, &header);
-  if (status != DecodeStatus::kOk) return status;
-  if (payload_len == 0 || payload_len > kMaxFrameBytes) {
-    return DecodeStatus::kMalformed;
-  }
-  if (size - header < payload_len) return DecodeStatus::kNeedMore;
-  const unsigned char kind = data[header];
-  if (!IsFrameKindByte(kind)) return DecodeStatus::kMalformed;
-  frame->kind = static_cast<FrameKind>(kind);
-  frame->body = data + header + 1;
-  frame->body_bytes = static_cast<size_t>(payload_len) - 1;
-  *consumed = header + static_cast<size_t>(payload_len);
-  return DecodeStatus::kOk;
-}
-
-/// Strict frame decode for corruption-sensitive callers (the process
-/// backend's link drains): structurally impossible bytes THROW a
-/// descriptive std::runtime_error instead of returning kMalformed, and a
-/// window known to be complete (`closed` — the peer's stream has ended)
-/// turns what would be kNeedMore into a throw too. That closes the
-/// silent-starvation hole the lenient DecodeFrame leaves open: a corrupted
-/// length prefix can otherwise read as "wait for more bytes" forever.
+/// Decodes one frame from [data, data + size) for the process backend's
+/// link drains: structurally impossible bytes (an empty payload, an
+/// unknown kind, a length beyond the cap) THROW a descriptive
+/// std::runtime_error, and a window known to be complete (`closed` — the
+/// peer's stream has ended) turns what would be kNeedMore into a throw
+/// too, so a corrupted length prefix cannot read as "wait for more bytes"
+/// forever.
 /// `max_frame_bytes` tightens the global kMaxFrameBytes cap to the largest
 /// frame legal on the caller's link, so a flipped length bit is rejected
 /// as impossible rather than buffered. Returns kOk (frame filled) or
@@ -284,50 +257,6 @@ inline DecodeStatus DecodeFrameChecked(const unsigned char* data, size_t size,
   *consumed = header + static_cast<size_t>(payload_len);
   return DecodeStatus::kOk;
 }
-
-/// Key-value pairs as self-delimiting frames, for a byte stream that
-/// carries pairs with no out-of-band length. Encode and decode are exact
-/// inverses, and DecodePair rejects every way a frame can be wrong:
-/// truncation anywhere (kNeedMore), non-pair kind, short value bytes, or
-/// trailing bytes after the value (kMalformed).
-template <typename Value>
-struct RecordCodec {
-  static constexpr bool kEncodable = ValueCodec<Value>::kEncodable;
-
-  static void EncodePair(uint64_t key, const Value& value,
-                         std::vector<unsigned char>* out) {
-    unsigned char body[kMaxVarintBytes + ValueCodec<Value>::kBytes];
-    const size_t key_bytes = PutVarint(key, body);
-    ValueCodec<Value>::Store(value, body + key_bytes);
-    AppendFrame(FrameKind::kPair, body, key_bytes + ValueCodec<Value>::kBytes,
-                out);
-  }
-
-  /// Decodes the body of an already-framed kPair (after the kind byte).
-  static DecodeStatus DecodePairBody(const unsigned char* body,
-                                     size_t body_bytes, uint64_t* key,
-                                     Value* value) {
-    size_t key_bytes = 0;
-    const DecodeStatus status = GetVarint(body, body_bytes, key, &key_bytes);
-    if (status != DecodeStatus::kOk) return DecodeStatus::kMalformed;
-    if (body_bytes - key_bytes != ValueCodec<Value>::kBytes) {
-      return DecodeStatus::kMalformed;  // short value or trailing bytes
-    }
-    *value = ValueCodec<Value>::Load(body + key_bytes);
-    return DecodeStatus::kOk;
-  }
-
-  /// Decodes one full pair frame from [data, data + size).
-  static DecodeStatus DecodePair(const unsigned char* data, size_t size,
-                                 uint64_t* key, Value* value,
-                                 size_t* consumed) {
-    FrameView frame;
-    const DecodeStatus status = DecodeFrame(data, size, &frame, consumed);
-    if (status != DecodeStatus::kOk) return status;
-    if (frame.kind != FrameKind::kPair) return DecodeStatus::kMalformed;
-    return DecodePairBody(frame.body, frame.body_bytes, key, value);
-  }
-};
 
 }  // namespace smr
 

@@ -102,7 +102,7 @@ namespace smr {
 template <typename Input, typename Value>
 const ShuffleBackend<Input, Value>& SelectShuffleBackend(
     [[maybe_unused]] const ExecutionPolicy& policy) {
-  if constexpr (RecordCodec<Value>::kEncodable) {
+  if constexpr (ValueCodec<Value>::kEncodable) {
     if (policy.backend == BackendMode::kProcess) {
       static const ProcessShuffleBackend<Input, Value> process;
       return process;

@@ -101,7 +101,7 @@ struct ExecutionPolicy {
   /// and semantic metrics — are byte-identical to the unbounded run at
   /// every thread count; only ShuffleStats' spill counters change. The one
   /// exception: a Value type the spill store cannot serialize
-  /// (SpillTraits<V>::kSpillable == false — no such type exists in the
+  /// (ValueCodec<V>::kEncodable == false — no such type exists in the
   /// repository) ignores the budget.
   uint64_t shuffle_budget_bytes = 0;
 
@@ -113,9 +113,9 @@ struct ExecutionPolicy {
   SpillBackend* spill_backend = nullptr;
 
   /// Where workers run: in-process threads (default) or forked worker
-  /// processes shuffling over real sockets. A value type the codec cannot
-  /// serialize (RecordCodec<V>::kEncodable == false — no such type exists
-  /// in the repository) keeps the thread backend.
+  /// processes whose pairs move through run files. A value type the codec
+  /// cannot serialize (ValueCodec<V>::kEncodable == false — no such type
+  /// exists in the repository) keeps the thread backend.
   BackendMode backend = BackendMode::kThread;
 
   /// Worker-process count for BackendMode::kProcess; 0 = num_threads.

@@ -22,8 +22,8 @@ namespace smr {
 ///   budget   "0" | "BYTES"     shuffle memory budget; byte-size suffixes
 ///            ("64K", "512M", "2G") accepted, 0 = unbounded (never spill)
 ///   backend  "thread"          in-process worker threads (the default)
-///            "process[:N]"     N forked worker processes shuffling over
-///                              real sockets (default N = threads)
+///            "process[:N]"     N forked worker processes shuffling
+///                              through run files (default N = threads)
 ///   retries  "R"               0 <= R <= 100 extra attempts per failed
 ///                              process-backend worker (0 = fail fast)
 ///   deadline "MS"              per-worker liveness deadline in

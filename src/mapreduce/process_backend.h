@@ -212,7 +212,7 @@ void SendReduceOutput(int fd, const MapReduceMetrics& shard,
 /// side effects outside the emitted stream may run more than once.
 template <typename Input, typename Value>
 class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
-  static_assert(RecordCodec<Value>::kEncodable,
+  static_assert(ValueCodec<Value>::kEncodable,
                 "process backend requires a codec-encodable value type");
   using Pair = std::pair<uint64_t, Value>;
   using CombineFn = typename Emitter<Value>::CombineFn;

@@ -120,7 +120,7 @@ void ReduceStream(
 /// and partitions cover ascending disjoint key ranges, so replaying the
 /// per-partition results in partition order reproduces the serial round
 /// exactly, whatever the thread count, partition count, or budget. A
-/// Value the spill store cannot serialize (SpillTraits<V>::kSpillable ==
+/// Value the spill store cannot serialize (ValueCodec<V>::kEncodable ==
 /// false) ignores the budget.
 template <typename Input, typename Value>
 class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
@@ -134,7 +134,7 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
                             uint64_t expected_pairs) const override {
     using Pair = std::pair<uint64_t, Value>;
     using CombineFn = typename Emitter<Value>::CombineFn;
-    constexpr bool kSpillable = SpillTraits<Value>::kSpillable;
+    constexpr bool kEncodable = ValueCodec<Value>::kEncodable;
     MapReduceMetrics metrics;
     metrics.input_records = inputs.size();
     metrics.key_space = spec.key_space;
@@ -147,7 +147,7 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
     const unsigned partitions = policy.EffectivePartitions();
     const KeyPartitioner partitioner(partitions, spec.key_space);
     metrics.shuffle.partitions = partitions;
-    const bool bounded = kSpillable && policy.shuffle_budget_bytes > 0;
+    const bool bounded = kEncodable && policy.shuffle_budget_bytes > 0;
 
     // The pool outlives the channels (their destructors release their
     // resident accounting into it), and the channels outlive the reduce
@@ -244,7 +244,7 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
                                        : nullptr;
         InstanceSink* out_records =
             replay_records ? &partition_records[p] : records;
-        if constexpr (kSpillable) {
+        if constexpr (kEncodable) {
           if (spilled[p]) {
             std::vector<SpillSource<Value>> sources;
             for (unsigned t = 0; t < map_threads; ++t) {

@@ -137,20 +137,6 @@ class PagePool {
   std::atomic<uint64_t> spill_files_{0};
 };
 
-/// Spill-store serialization, now just a view over the shared codec layer
-/// (mapreduce/codec.h): spilled records are fixed-size
-/// [raw key][ValueCodec value bytes] blocks — fixed because runs are read
-/// back at computed offsets — so the value encoding is exactly
-/// ValueCodec<V>'s Store/Load, the same bytes the process backend frames
-/// onto its wires. Values with kSpillable == false (none in the
-/// repository today) keep the unbounded in-memory shuffle even when a
-/// budget is set — the engine documents this as the one exception to the
-/// budget knob.
-template <typename V>
-struct SpillTraits : ValueCodec<V> {
-  static constexpr bool kSpillable = ValueCodec<V>::kEncodable;
-};
-
 /// One sorted, streamable segment of a partition's pairs: either a spilled
 /// run (read back page-at-a-time through the owning worker's SpillFile) or
 /// the in-memory resident tail. Segments are consumed through Head()/Pop()
@@ -159,7 +145,7 @@ template <typename Value>
 class SpillSource {
   using Pair = std::pair<uint64_t, Value>;
   static constexpr size_t kRecordBytes =
-      sizeof(uint64_t) + SpillTraits<Value>::kBytes;
+      sizeof(uint64_t) + ValueCodec<Value>::kBytes;
 
  public:
   /// Resident tail (must stay alive and unmodified while merging).
@@ -203,7 +189,7 @@ class SpillSource {
       uint64_t key = 0;
       std::memcpy(&key, record, sizeof(uint64_t));
       buffer_.emplace_back(key,
-                           SpillTraits<Value>::Load(record + sizeof(uint64_t)));
+                           ValueCodec<Value>::Load(record + sizeof(uint64_t)));
     }
     buffer_pos_ = 0;
   }
@@ -267,9 +253,12 @@ class SpillChannel {
   using Pair = std::pair<uint64_t, Value>;
 
  public:
+  /// Spilled records are fixed-size [raw key][ValueCodec value bytes]
+  /// blocks (mapreduce/codec.h), because runs are read back at computed
+  /// offsets.
   static constexpr size_t kRecordBytes =
-      sizeof(uint64_t) + SpillTraits<Value>::kBytes;
-  static_assert(SpillTraits<Value>::kBytes < PagePool::kPageBytes,
+      sizeof(uint64_t) + ValueCodec<Value>::kBytes;
+  static_assert(ValueCodec<Value>::kBytes < PagePool::kPageBytes,
                 "shuffle value larger than a spill page");
 
   SpillChannel(PagePool* pool, unsigned partitions)
@@ -353,8 +342,8 @@ class SpillChannel {
           used = 0;
         }
         std::memcpy(scratch_.data() + used, &pair.first, sizeof(uint64_t));
-        SpillTraits<Value>::Store(pair.second,
-                                  scratch_.data() + used + sizeof(uint64_t));
+        ValueCodec<Value>::Store(pair.second,
+                                 scratch_.data() + used + sizeof(uint64_t));
         used += kRecordBytes;
       }
       if (used > 0) file_->Append(scratch_.data(), used);

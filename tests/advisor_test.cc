@@ -2,7 +2,6 @@
 
 #include "core/plan_advisor.h"
 #include "core/strategy.h"
-#include "core/subgraph_enumerator.h"
 #include "core/two_round_triangles.h"
 #include "graph/generators.h"
 #include "graph/node_order.h"
@@ -36,9 +35,11 @@ TEST(PlanAdvisor, PredictionsMatchMeasurement) {
   const double k = 126;  // C(6+3, 4) = 126 -> b = 6
   const StrategyPlan plan = PlanEnumeration(pattern, k);
   const Graph g = ErdosRenyi(60, 300, 3);
-  const SubgraphEnumerator enumerator(pattern);
   const auto metrics =
-      enumerator.RunBucketOriented(g, plan.buckets, 1, nullptr);
+      StrategyRegistry::Global()
+          .Run(EnumerationQuery::Undirected(pattern, g)
+                   .WithStrategy("bucket:" + std::to_string(plan.buckets)))
+          .metrics;
   EXPECT_DOUBLE_EQ(metrics.ReplicationRate(), plan.bucket_cost_per_edge);
 }
 

@@ -1,9 +1,9 @@
 // The codec layer (mapreduce/codec.h): varint encode/decode must round-trip
-// every boundary value exactly; pair frames must round-trip arbitrary
-// key/value pairs; and every way a byte window can be wrong — truncation at
-// each byte, trailing bytes inside a payload, a bad kind, an absurd length
-// — must come back kNeedMore or kMalformed, never a silently wrong pair
-// (mirroring graph_io_test's malformed-input style).
+// every boundary value exactly; fixed-size values must round-trip through
+// the spill record layout; and every way a frame window can be wrong —
+// truncation at each byte, a bad kind, an absurd length — must come back
+// kNeedMore or throw, never a silently wrong frame (mirroring
+// graph_io_test's malformed-input style).
 
 #include <cstdint>
 #include <limits>
@@ -100,132 +100,13 @@ TEST(Varint, OverlongEncodingIsMalformed) {
 
 using Edge = std::pair<uint32_t, uint32_t>;
 
-TEST(RecordCodec, PairRoundTripBoundaryKeys) {
-  const std::vector<uint64_t> keys = {0, 127, 128,
-                                      std::numeric_limits<uint64_t>::max()};
-  for (const uint64_t key : keys) {
-    Bytes wire;
-    RecordCodec<Edge>::EncodePair(key, {7, 9}, &wire);
-    uint64_t decoded_key = 0;
-    Edge decoded_value{};
-    size_t consumed = 0;
-    ASSERT_EQ(RecordCodec<Edge>::DecodePair(wire.data(), wire.size(),
-                                            &decoded_key, &decoded_value,
-                                            &consumed),
-              DecodeStatus::kOk)
-        << "key=" << key;
-    EXPECT_EQ(decoded_key, key);
-    EXPECT_EQ(decoded_value, Edge(7, 9));
-    EXPECT_EQ(consumed, wire.size());
-  }
-}
-
-TEST(RecordCodec, StreamOfPairsRoundTripsInOrder) {
-  Rng rng(42);
-  std::vector<std::pair<uint64_t, Edge>> pairs;
-  Bytes wire;
-  for (int i = 0; i < 5000; ++i) {
-    const uint64_t key = rng.Next() >> (rng.Next() % 64);
-    const Edge value{static_cast<uint32_t>(rng.Next()),
-                     static_cast<uint32_t>(rng.Next())};
-    pairs.emplace_back(key, value);
-    RecordCodec<Edge>::EncodePair(key, value, &wire);
-  }
-  size_t offset = 0;
-  for (const auto& [key, value] : pairs) {
-    uint64_t decoded_key = 0;
-    Edge decoded_value{};
-    size_t consumed = 0;
-    ASSERT_EQ(RecordCodec<Edge>::DecodePair(wire.data() + offset,
-                                            wire.size() - offset, &decoded_key,
-                                            &decoded_value, &consumed),
-              DecodeStatus::kOk);
-    ASSERT_EQ(decoded_key, key);
-    ASSERT_EQ(decoded_value, value);
-    offset += consumed;
-  }
-  EXPECT_EQ(offset, wire.size());
-}
-
-TEST(RecordCodec, TruncationAtEveryByteNeedsMore) {
-  Bytes wire;
-  RecordCodec<Edge>::EncodePair(std::numeric_limits<uint64_t>::max(), {1, 2},
-                                &wire);
-  for (size_t cut = 0; cut < wire.size(); ++cut) {
-    uint64_t key = 0;
-    Edge value{};
-    size_t consumed = 0;
-    EXPECT_EQ(RecordCodec<Edge>::DecodePair(wire.data(), cut, &key, &value,
-                                            &consumed),
-              DecodeStatus::kNeedMore)
-        << "cut=" << cut;
-  }
-}
-
-TEST(RecordCodec, TrailingBytesInsidePayloadAreMalformed) {
-  // A frame whose payload carries extra bytes after the value re-frames to
-  // a longer length; the pair decoder must reject it rather than read a
-  // key/value and ignore the rest.
-  unsigned char body[kMaxVarintBytes + sizeof(Edge) + 1];
-  const size_t key_bytes = PutVarint(5, body);
-  ValueCodec<Edge>::Store({3, 4}, body + key_bytes);
-  body[key_bytes + sizeof(Edge)] = 0xcc;  // the trailing byte
-  Bytes wire;
-  AppendFrame(FrameKind::kPair, body, key_bytes + sizeof(Edge) + 1, &wire);
-  uint64_t key = 0;
-  Edge value{};
-  size_t consumed = 0;
-  EXPECT_EQ(
-      RecordCodec<Edge>::DecodePair(wire.data(), wire.size(), &key, &value,
-                                    &consumed),
-      DecodeStatus::kMalformed);
-}
-
-TEST(RecordCodec, ShortValueIsMalformed) {
-  unsigned char body[kMaxVarintBytes + sizeof(Edge)];
-  const size_t key_bytes = PutVarint(5, body);
-  ValueCodec<Edge>::Store({3, 4}, body + key_bytes);
-  Bytes wire;
-  AppendFrame(FrameKind::kPair, body, key_bytes + sizeof(Edge) - 1, &wire);
-  uint64_t key = 0;
-  Edge value{};
-  size_t consumed = 0;
-  EXPECT_EQ(
-      RecordCodec<Edge>::DecodePair(wire.data(), wire.size(), &key, &value,
-                                    &consumed),
-      DecodeStatus::kMalformed);
-}
-
-TEST(Frame, UnknownKindIsMalformed) {
-  Bytes wire;
-  AppendVarint(2, &wire);
-  wire.push_back(0x7f);  // no FrameKind has this tag
-  wire.push_back(0x00);
-  FrameView frame;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeFrame(wire.data(), wire.size(), &frame, &consumed),
-            DecodeStatus::kMalformed);
-}
-
-TEST(Frame, EmptyPayloadIsMalformed) {
-  Bytes wire;
-  AppendVarint(0, &wire);  // a frame must at least carry its kind byte
-  FrameView frame;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeFrame(wire.data(), wire.size(), &frame, &consumed),
-            DecodeStatus::kMalformed);
-}
-
-TEST(Frame, AbsurdLengthIsMalformedNotStarved) {
-  // A corrupted length prefix claiming 2^60 bytes must fail immediately,
-  // not leave a reader waiting for bytes that never come.
-  Bytes wire;
-  AppendVarint(uint64_t{1} << 60, &wire);
-  wire.push_back(static_cast<unsigned char>(FrameKind::kPair));
-  FrameView frame;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeFrame(wire.data(), wire.size(), &frame, &consumed),
-            DecodeStatus::kMalformed);
+/// Appends one kInstance frame ([varint arity][varint node]*), the most
+/// common frame on a reduce link.
+void AppendInstance(const std::vector<uint64_t>& nodes, Bytes* wire) {
+  Bytes body;
+  AppendVarint(nodes.size(), &body);
+  for (const uint64_t node : nodes) AppendVarint(node, &body);
+  AppendFrame(FrameKind::kInstance, body.data(), body.size(), wire);
 }
 
 TEST(Frame, BlobRoundTripsThroughView) {
@@ -234,7 +115,8 @@ TEST(Frame, BlobRoundTripsThroughView) {
   AppendFrame(FrameKind::kError, message.data(), message.size(), &wire);
   FrameView frame;
   size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(wire.data(), wire.size(), &frame, &consumed),
+  ASSERT_EQ(DecodeFrameChecked(wire.data(), wire.size(), /*closed=*/true,
+                               kMaxFrameBytes, &frame, &consumed),
             DecodeStatus::kOk);
   EXPECT_EQ(frame.kind, FrameKind::kError);
   EXPECT_EQ(Bytes(frame.body, frame.body + frame.body_bytes), message);
@@ -247,7 +129,7 @@ TEST(Frame, BlobRoundTripsThroughView) {
 
 TEST(CheckedFrame, CleanStreamDecodesLikeTheLenientPath) {
   Bytes wire;
-  RecordCodec<Edge>::EncodePair(42, {7, 9}, &wire);
+  AppendInstance({42, 7, 9}, &wire);
   unsigned char count[kMaxVarintBytes];
   AppendFrame(FrameKind::kEnd, count, PutVarint(1, count), &wire);
   size_t offset = 0;
@@ -267,8 +149,7 @@ TEST(CheckedFrame, CleanStreamDecodesLikeTheLenientPath) {
 
 TEST(CheckedFrame, OpenWindowTruncationNeedsMoreClosedWindowThrows) {
   Bytes wire;
-  RecordCodec<Edge>::EncodePair(std::numeric_limits<uint64_t>::max(), {1, 2},
-                                &wire);
+  AppendInstance({std::numeric_limits<uint64_t>::max(), 1, 2}, &wire);
   for (size_t cut = 0; cut < wire.size(); ++cut) {
     FrameView frame;
     size_t consumed = 0;
@@ -293,7 +174,7 @@ TEST(CheckedFrame, ImpossibleLengthNamesTheLinkLimit) {
   // bytes that will never come.
   Bytes wire;
   AppendVarint(uint64_t{1} << 60, &wire);
-  wire.push_back(static_cast<unsigned char>(FrameKind::kPair));
+  wire.push_back(static_cast<unsigned char>(FrameKind::kInstance));
   FrameView frame;
   size_t consumed = 0;
   try {
@@ -342,10 +223,10 @@ TEST(CheckedFrame, ByteFlipFuzzTerminatesLoudlyOrDecodes) {
   Bytes wire;
   Rng rng(20260808);
   for (int i = 0; i < 20; ++i) {
-    RecordCodec<Edge>::EncodePair(rng.Next() >> (rng.Next() % 64),
-                                  {static_cast<uint32_t>(rng.Next()),
-                                   static_cast<uint32_t>(rng.Next())},
-                                  &wire);
+    AppendInstance({rng.Next() >> (rng.Next() % 64),
+                    static_cast<uint32_t>(rng.Next()),
+                    static_cast<uint32_t>(rng.Next())},
+                   &wire);
   }
   unsigned char end_body[kMaxVarintBytes];
   AppendFrame(FrameKind::kEnd, end_body, PutVarint(20, end_body), &wire);
@@ -381,25 +262,21 @@ TEST(CheckedFrame, ByteFlipFuzzTerminatesLoudlyOrDecodes) {
     }
   }
   // Both outcomes must occur: flips in framing bytes reject, flips deep in
-  // pair payloads survive the structural check.
+  // instance payloads survive the structural check.
   EXPECT_GT(decoded_streams, 0u);
   EXPECT_GT(rejected_streams, 0u);
 }
 
-TEST(ValueCodec, SpillTraitsShareTheValueEncoding) {
-  // The spill path serializes values through the same codec (SpillTraits
-  // is a view over ValueCodec): identical byte layout, identical
-  // encodability verdicts.
-  static_assert(SpillTraits<Edge>::kSpillable == ValueCodec<Edge>::kEncodable);
-  static_assert(SpillTraits<Edge>::kBytes == ValueCodec<Edge>::kBytes);
-  unsigned char via_spill[sizeof(Edge)];
-  unsigned char via_codec[sizeof(Edge)];
+TEST(ValueCodec, SpillRecordsUseTheValueEncoding) {
+  // A spill record is [raw key][ValueCodec value bytes], and a value
+  // survives Store/Load byte for byte.
+  static_assert(ValueCodec<Edge>::kEncodable);
+  static_assert(SpillChannel<Edge>::kRecordBytes ==
+                sizeof(uint64_t) + ValueCodec<Edge>::kBytes);
+  unsigned char stored[sizeof(Edge)];
   const Edge value{123456, 654321};
-  SpillTraits<Edge>::Store(value, via_spill);
-  ValueCodec<Edge>::Store(value, via_codec);
-  EXPECT_EQ(Bytes(via_spill, via_spill + sizeof(Edge)),
-            Bytes(via_codec, via_codec + sizeof(Edge)));
-  EXPECT_EQ(SpillTraits<Edge>::Load(via_codec), value);
+  ValueCodec<Edge>::Store(value, stored);
+  EXPECT_EQ(ValueCodec<Edge>::Load(stored), value);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/subgraph_enumerator.h"
+#include "core/strategy.h"
 #include "core/triangle_algorithms.h"
 #include "core/two_round_triangles.h"
 #include "directed/directed_enumeration.h"
@@ -167,40 +167,60 @@ void ExpectStrategyDeterministic(const SampleGraph& pattern,
 TEST(EngineParallel, BucketOrientedTriangle) {
   const Graph g = ErdosRenyi(300, 1800, 11);
   const SampleGraph pattern = SampleGraph::Triangle();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunBucketOriented(g, 4, 1, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("bucket:4")
+                     .WithSeed(1)
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
 TEST(EngineParallel, BucketOrientedSquare) {
   const Graph g = ErdosRenyi(120, 900, 5);
   const SampleGraph pattern = SampleGraph::Square();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunBucketOriented(g, 3, 2, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("bucket:3")
+                     .WithSeed(2)
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
 TEST(EngineParallel, BucketOrientedLollipop) {
   const Graph g = ErdosRenyi(100, 800, 9);
   const SampleGraph pattern = SampleGraph::Lollipop();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunBucketOriented(g, 3, 4, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("bucket:3")
+                     .WithSeed(4)
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
 TEST(EngineParallel, VariableOrientedTriangle) {
   const Graph g = ErdosRenyi(250, 1500, 3);
   const SampleGraph pattern = SampleGraph::Triangle();
-  const SubgraphEnumerator enumerator(pattern);
   ExpectStrategyDeterministic(
       pattern, [&](const ExecutionPolicy& policy, InstanceSink* sink) {
-        return enumerator.RunVariableOriented(g, {3, 3, 3}, 1, sink, policy);
+        return StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("variable:3x3x3")
+                     .WithSeed(1)
+                     .WithPolicy(policy)
+                     .WithSink(sink))
+            .metrics;
       });
 }
 
@@ -319,14 +339,23 @@ TEST(EngineParallel, CountingSinkUnbufferedPathMatches) {
   // CountingSink takes the engine's O(1)-memory EmitCount path in parallel
   // runs; the count must match the buffered CollectingSink and the metrics.
   const Graph g = ErdosRenyi(300, 1800, 11);
-  const SubgraphEnumerator enumerator(SampleGraph::Triangle());
+  const SampleGraph pattern = SampleGraph::Triangle();
   CollectingSink collecting;
-  const MapReduceMetrics reference = enumerator.RunBucketOriented(
-      g, 4, 1, &collecting, ExecutionPolicy::Serial());
+  const MapReduceMetrics reference =
+      StrategyRegistry::Global()
+          .Run(EnumerationQuery::Undirected(pattern, g)
+                   .WithStrategy("bucket:4")
+                   .WithSink(&collecting))
+          .metrics;
   for (const unsigned threads : kThreadCounts) {
     CountingSink counting;
-    const MapReduceMetrics metrics = enumerator.RunBucketOriented(
-        g, 4, 1, &counting, ExecutionPolicy::WithThreads(threads));
+    const MapReduceMetrics metrics =
+        StrategyRegistry::Global()
+            .Run(EnumerationQuery::Undirected(pattern, g)
+                     .WithStrategy("bucket:4")
+                     .WithPolicy(ExecutionPolicy::WithThreads(threads))
+                     .WithSink(&counting))
+            .metrics;
     EXPECT_EQ(metrics, reference) << "threads=" << threads;
     EXPECT_EQ(counting.count(), collecting.assignments().size())
         << "threads=" << threads;
@@ -338,9 +367,13 @@ TEST(EngineParallel, ParallelMatchesGroundTruth) {
   // the reference serial matcher ("each instance exactly once").
   const Graph g = ErdosRenyi(200, 1400, 29);
   const SampleGraph pattern = SampleGraph::Triangle();
-  const SubgraphEnumerator enumerator(pattern);
   CollectingSink sink;
-  enumerator.RunBucketOriented(g, 4, 7, &sink, ExecutionPolicy::WithThreads(8));
+  StrategyRegistry::Global().Run(
+      EnumerationQuery::Undirected(pattern, g)
+          .WithStrategy("bucket:4")
+          .WithSeed(7)
+          .WithPolicy(ExecutionPolicy::WithThreads(8))
+          .WithSink(&sink));
   EXPECT_EQ(KeysOf(sink, pattern), GroundTruthKeys(pattern, g));
 }
 

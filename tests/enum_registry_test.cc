@@ -52,7 +52,7 @@ TEST(EnumRegistry, AllPublicEnumsRoundTrip) {
 // tests must acknowledge. Keep these in sync deliberately.
 TEST(EnumRegistry, PinnedCounts) {
   EXPECT_EQ(EnumTraits<WorkerErrorKind>::kCount, 6u);
-  EXPECT_EQ(EnumTraits<FrameKind>::kCount, 7u);
+  EXPECT_EQ(EnumTraits<FrameKind>::kCount, 6u);
   EXPECT_EQ(EnumTraits<BackendMode>::kCount, 2u);
   EXPECT_EQ(EnumTraits<OnExhausted>::kCount, 2u);
   EXPECT_EQ(EnumTraits<WorkerRole>::kCount, 2u);
@@ -69,8 +69,9 @@ TEST(EnumRegistry, UnregisteredValuesNameAsUnknown) {
   EXPECT_STREQ(EnumTraits<BackendMode>::Name(static_cast<BackendMode>(99)),
                "unknown");
   EXPECT_FALSE(EnumTraits<FrameKind>::IsValue(0));
+  EXPECT_FALSE(EnumTraits<FrameKind>::IsValue(1));  // the retired pair frame
   EXPECT_FALSE(EnumTraits<FrameKind>::IsValue(8));
-  EXPECT_TRUE(EnumTraits<FrameKind>::IsValue(1));
+  EXPECT_TRUE(EnumTraits<FrameKind>::IsValue(2));
   EXPECT_TRUE(EnumTraits<FrameKind>::IsValue(7));
 }
 

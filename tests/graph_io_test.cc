@@ -1,9 +1,10 @@
-// The binary edge-list format (graph/io): a text-loaded graph, written as
+// The edge-list formats (graph/io): a text-loaded graph, written as
 // binary and loaded back, must equal the text load exactly; every way a
 // binary file can be malformed — wrong magic, unknown version, truncation
-// at each boundary, trailing bytes, out-of-range endpoints — must throw
-// std::runtime_error, never yield a silently wrong graph; and
-// LoadGraphFile must route both formats by sniffing, not by extension.
+// at each boundary, trailing bytes, out-of-range endpoints — and every
+// malformed text line must throw std::runtime_error, never yield a
+// silently wrong graph; and LoadGraphFile must route both formats by
+// sniffing, not by extension.
 
 #include <cstdint>
 #include <cstdio>
@@ -169,6 +170,31 @@ TEST(GraphIo, ErrorsNameTheFile) {
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(file.path()), std::string::npos)
         << "got: " << error.what();
+  }
+}
+
+TEST(GraphIo, MalformedTextLinesThrow) {
+  // A negative id, an id beyond the 32-bit space, a non-numeric line, and
+  // a line with a third id: each must be rejected by line number, not
+  // crash, wrap to another node, or be skipped.
+  const struct {
+    const char* text;
+    const char* where;
+  } cases[] = {
+      {"0 1\n1 -2\n", "line 2:"},
+      {"0 1\n1 2\n4294967298 0\n", "line 3:"},
+      {"hello\n0 1\n", "line 1:"},
+      {"0 1 2\n", "line 1:"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(c.text);
+    try {
+      ReadEdgeList(in);
+      ADD_FAILURE() << "no error for " << c.text;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(c.where), std::string::npos)
+          << "got: " << error.what();
+    }
   }
 }
 

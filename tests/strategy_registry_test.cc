@@ -14,7 +14,6 @@
 #include "core/bucket_oriented.h"
 #include "core/plan_advisor.h"
 #include "core/strategy.h"
-#include "core/subgraph_enumerator.h"
 #include "core/triangle_algorithms.h"
 #include "core/triangle_census.h"
 #include "core/two_round_triangles.h"
@@ -652,23 +651,38 @@ TEST(PolicySpec, ChecksEveryKnobAndRejectsTrailingColon) {
             "2 threads, combine on, process backend (4 workers)");
 }
 
-TEST(StrategyRegistry, WrapperAndDirectQueryShareOneCodePath) {
-  // The deprecated SubgraphEnumerator wrappers are documented as thin
-  // shims over the registry: same metrics, same emissions.
-  const SampleGraph pattern = SampleGraph::Lollipop();
+TEST(StrategyRegistry, PregeneratedCqsMatchOnTheFlyGeneration) {
+  // A caller that generated the CQ set once may attach it as query.cqs
+  // (the benchmark harness does); the run must not differ from one that
+  // lets the strategy generate the set itself.
   const Graph graph = TestGraph();
-  const SubgraphEnumerator enumerator(pattern);
+  for (const SampleGraph& pattern :
+       {SampleGraph::Square(), SampleGraph::Lollipop()}) {
+    const std::vector<ConjunctiveQuery> cqs = CqsForSample(pattern);
+    for (const char* spec : {"bucket:5", "variable", "variable-auto:64"}) {
+      CollectingSink attached_sink;
+      EnumerationQuery attached = EnumerationQuery::Undirected(pattern, graph)
+                                      .WithStrategy(spec)
+                                      .WithSeed(3)
+                                      .WithSink(&attached_sink);
+      attached.cqs = &cqs;
+      const EnumerationResult with_cqs =
+          StrategyRegistry::Global().Run(attached);
 
-  CollectingSink wrapper_sink;
-  const MapReduceMetrics wrapper_metrics =
-      enumerator.RunBucketOriented(graph, 5, 1, &wrapper_sink);
+      CollectingSink generated_sink;
+      const EnumerationResult without_cqs = StrategyRegistry::Global().Run(
+          EnumerationQuery::Undirected(pattern, graph)
+              .WithStrategy(spec)
+              .WithSeed(3)
+              .WithSink(&generated_sink));
 
-  CollectingSink query_sink;
-  const EnumerationResult result = StrategyRegistry::Global().Run(
-      enumerator.MakeQuery(graph).WithStrategy("bucket:5").WithSink(
-          &query_sink));
-  EXPECT_TRUE(result.metrics == wrapper_metrics);
-  EXPECT_EQ(query_sink.assignments(), wrapper_sink.assignments());
+      EXPECT_TRUE(with_cqs.metrics == without_cqs.metrics)
+          << pattern.ToString() << " " << spec;
+      EXPECT_GT(with_cqs.instances, 0u) << pattern.ToString() << " " << spec;
+      EXPECT_EQ(attached_sink.assignments(), generated_sink.assignments())
+          << pattern.ToString() << " " << spec;
+    }
+  }
 }
 
 }  // namespace
