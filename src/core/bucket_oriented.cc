@@ -13,109 +13,77 @@
 
 namespace smr {
 
-namespace {
-
-// Reducer keys are combinatorial ranks (RankNondecreasing / RankSubset),
-// not base-b positional packings: ranks are dense in [0, key_space), which
-// the engine's partitioned shuffle needs for balanced key-range splits, and
-// they cannot overflow a uint64_t while the key space itself fits — the old
-// packing wrapped once b^p > 2^64 (e.g. b=64, p=11) and silently fused
-// distinct reducers, corrupting counts. Both encodings order reducers
-// identically (lexicographically in the sorted bucket sequence), so metrics
-// and emission order are unchanged where the old packing was correct.
-
-/// Sink wrapper used inside reducers: translates local node ids to global,
-/// optionally filters by a predicate, and forwards to the reducer context.
-class ReducerSink : public InstanceSink {
- public:
-  ReducerSink(const std::vector<NodeId>& local_to_global,
-              std::function<bool(std::span<const NodeId>)> keep,
-              ReduceContext* context)
-      : local_to_global_(local_to_global),
-        keep_(std::move(keep)),
-        context_(context) {}
-
-  void Emit(std::span<const NodeId> assignment) override {
-    scratch_.assign(assignment.size(), 0);
-    for (size_t i = 0; i < assignment.size(); ++i) {
-      scratch_[i] = local_to_global_[assignment[i]];
-    }
-    if (keep_ && !keep_(scratch_)) return;
-    context_->EmitInstance(scratch_);
+BucketScheme::BucketScheme(int buckets, int p, uint64_t seed)
+    : buckets_(buckets), p_(p), hasher_(buckets, seed) {
+  if (buckets < 1) {
+    throw std::invalid_argument(
+        "bucket-oriented processing needs b >= 1 buckets");
   }
+  if (p < 2) {
+    throw std::invalid_argument(
+        "bucket-oriented processing needs a pattern of p >= 2 nodes");
+  }
+  if (!BinomialFitsUint64(int64_t{buckets} + p - 1, p)) {
+    throw std::invalid_argument(
+        "bucket-oriented reducer key space C(b+p-1, p) exceeds 64 bits; "
+        "reduce the bucket count b or the pattern size p");
+  }
+  key_space_ = Binomial(int64_t{buckets} + p - 1, p);
+  replication_ = static_cast<double>(Binomial(int64_t{buckets} + p - 3, p - 2));
+  if (p != 3) paddings_ = NondecreasingSequences(buckets, p - 2);
+}
 
- private:
-  const std::vector<NodeId>& local_to_global_;
-  std::function<bool(std::span<const NodeId>)> keep_;
-  ReduceContext* context_;
-  std::vector<NodeId> scratch_;
-};
+uint64_t BucketScheme::PaddedKey(const std::vector<int>& padding, int i,
+                                 int j, std::vector<int>* multiset) const {
+  multiset->assign(padding.begin(), padding.end());
+  multiset->push_back(i);
+  multiset->push_back(j);
+  std::sort(multiset->begin(), multiset->end());
+  return RankNondecreasing(*multiset, buckets_);
+}
 
-}  // namespace
+BucketScheme::Ownership BucketScheme::OwnershipOf(uint64_t key) const {
+  return Ownership(hasher_, UnrankNondecreasing(key, buckets_, p_));
+}
+
+bool BucketScheme::Ownership::operator()(std::span<const NodeId> nodes) {
+  scratch_.clear();
+  for (NodeId node : nodes) scratch_.push_back(hasher_.Bucket(node));
+  std::sort(scratch_.begin(), scratch_.end());
+  return scratch_ == own_;
+}
 
 MapReduceMetrics BucketOrientedEnumerate(
     const SampleGraph& pattern, std::span<const ConjunctiveQuery> cqs,
     const Graph& graph, int buckets, uint64_t seed, InstanceSink* sink,
     const ExecutionPolicy& policy, JobMetrics* job) {
-  const int p = pattern.num_vars();
-  if (buckets < 1 || p < 2) throw std::invalid_argument("bad parameters");
-  if (!BinomialFitsUint64(buckets + p - 1, p)) {
-    throw std::invalid_argument(
-        "bucket-oriented reducer key space C(b+p-1, p) exceeds 64 bits; "
-        "reduce the bucket count b or the pattern size p");
-  }
-  const BucketHasher hasher(buckets, seed);
-  const NodeOrder order = NodeOrder::ByBucket(graph.num_nodes(), hasher);
-  const uint64_t key_space = Binomial(buckets + p - 1, p);
-  // The p-2 extra bucket values an edge's key is padded with; shared across
-  // all mapper invocations.
-  const std::vector<std::vector<int>> paddings =
-      NondecreasingSequences(buckets, p - 2);
+  const BucketScheme scheme(buckets, pattern.num_vars(), seed);
+  const NodeOrder order =
+      NodeOrder::ByBucket(graph.num_nodes(), scheme.hasher());
 
   auto map_fn = [&](const Edge& edge, Emitter<Edge>* out) {
     const Edge oriented = order.Orient(edge);
-    const int i = hasher.Bucket(oriented.first);
-    const int j = hasher.Bucket(oriented.second);  // i <= j under the order
-    std::vector<int> multiset(p);
-    for (const auto& padding : paddings) {
-      multiset.assign(padding.begin(), padding.end());
-      multiset.push_back(i);
-      multiset.push_back(j);
-      std::sort(multiset.begin(), multiset.end());
-      out->Emit(RankNondecreasing(multiset, buckets), oriented);
-    }
+    scheme.ForEachReducer(oriented.first, oriented.second,
+                          [&](uint64_t key) { out->Emit(key, oriented); });
   };
 
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
-    const std::vector<int> own = UnrankNondecreasing(key, buckets, p);
     const Subgraph local = BuildSubgraph(values);
     context->cost->edges_scanned += values.size();
     const NodeOrder local_order =
         NodeOrder::Project(order, local.local_to_global);
     const CqEvaluator evaluator(local.graph, local_order);
-    ReducerSink reducer_sink(
-        local.local_to_global,
-        [&](std::span<const NodeId> global) {
-          // Keep solutions whose sorted bucket multiset matches this
-          // reducer; all other reducers holding these edges skip them.
-          std::vector<int> got;
-          got.reserve(global.size());
-          for (NodeId node : global) got.push_back(hasher.Bucket(node));
-          std::sort(got.begin(), got.end());
-          return got == own;
-        },
-        context);
-    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost);
+    ReducerSink owned(local.local_to_global, context,
+                      scheme.OwnershipOf(key));
+    evaluator.EvaluateAll(cqs, &owned, context->cost);
   };
 
   JobDriver driver(policy);
   // No combiner: the reducers need every edge copy of their local subgraph.
-  // Each edge ships exactly one pair per padding (the paper's replication
-  // rate C(b+p-3, p-2)), so the engine can presize its scatter buckets.
   const RoundSpec<Edge, Edge> round{"bucket-oriented", map_fn, reduce_fn,
-                                    key_space, {},
-                                    static_cast<double>(paddings.size())};
+                                    scheme.key_space(), {},
+                                    scheme.replication()};
   const MapReduceMetrics metrics = driver.RunRound(round, graph.edges(), sink);
   if (job != nullptr) *job = driver.job();
   return metrics;
@@ -159,31 +127,11 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
     context->cost->edges_scanned += values.size();
     const NodeOrder local_order = NodeOrder::Identity(local.graph.num_nodes());
     const CqEvaluator evaluator(local.graph, local_order);
-    ReducerSink reducer_sink(
-        local.local_to_global,
-        [&](std::span<const NodeId> global) {
-          // Canonical-subset de-duplication, as for Partition triangles:
-          // pad the instance's distinct groups with the smallest unused
-          // group ids; only the canonical reducer emits.
-          std::vector<int> distinct;
-          for (NodeId node : global) distinct.push_back(hasher.Bucket(node));
-          std::sort(distinct.begin(), distinct.end());
-          distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                         distinct.end());
-          for (int candidate = 0;
-               static_cast<int>(distinct.size()) < p && candidate < b;
-               ++candidate) {
-            if (!std::binary_search(distinct.begin(), distinct.end(),
-                                    candidate)) {
-              distinct.insert(std::lower_bound(distinct.begin(),
-                                               distinct.end(), candidate),
-                              candidate);
-            }
-          }
-          return distinct == own;
-        },
-        context);
-    evaluator.EvaluateAll(cqs, &reducer_sink, context->cost);
+    ReducerSink owned(local.local_to_global, context,
+                      [&](std::span<const NodeId> global) {
+                        return CanonicalGroupSubset(hasher, global, p) == own;
+                      });
+    evaluator.EvaluateAll(cqs, &owned, context->cost);
   };
 
   JobDriver driver(policy);
@@ -220,6 +168,21 @@ void ForEachGroupSubsetContaining(
     if (!is_required) recurse(next + 1, req_i);
   };
   recurse(0, 0);
+}
+
+std::vector<int> CanonicalGroupSubset(const BucketHasher& groups,
+                                      std::span<const NodeId> nodes, int p) {
+  std::vector<int> subset;
+  for (NodeId node : nodes) subset.push_back(groups.Bucket(node));
+  std::sort(subset.begin(), subset.end());
+  subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
+  for (int candidate = 0;
+       static_cast<int>(subset.size()) < p && candidate < groups.buckets();
+       ++candidate) {
+    const auto it = std::lower_bound(subset.begin(), subset.end(), candidate);
+    if (it == subset.end() || *it != candidate) subset.insert(it, candidate);
+  }
+  return subset;
 }
 
 }  // namespace smr

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/bucket_oriented.h"
 #include "graph/node_order.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
@@ -21,33 +22,13 @@ uint64_t PackTriple(int a, int b, int c, int base) {
   return (static_cast<uint64_t>(a) * base + b) * base + c;
 }
 
-// OrderedBucketTriangles and PartitionTriangles key their reducers by the
-// combinatorial rank of the (sorted) bucket triple instead of PackTriple:
-// their declared key spaces are C(b+2, 3) and C(b, 3), and base-b packing
-// is sparse in those ranges — under the engine's partitioned shuffle almost
-// every packed key would land beyond the declared space and collapse into
-// the last partition, serializing the reduce. Ranks are dense and order
-// reducers identically (lexicographically in the triple), so metrics and
-// emission order are unchanged. MultiwayJoinTriangles keeps PackTriple: its
-// key space *is* b^3 and the packing is already a dense bijection.
-
-uint64_t RankTriple(const std::array<int, 3>& triple, int base) {
-  return RankNondecreasing3(triple[0], triple[1], triple[2], base);
-}
-
-std::array<int, 3> UnrankTriple(uint64_t key, int base) {
-  const std::vector<int> seq = UnrankNondecreasing(key, base, 3);
-  return {seq[0], seq[1], seq[2]};
-}
-
-uint64_t RankStrictTriple(const std::array<int, 3>& triple, int base) {
-  return RankSubset3(triple[0], triple[1], triple[2], base);
-}
-
-std::array<int, 3> UnrankStrictTriple(uint64_t key, int base) {
-  const std::vector<int> seq = UnrankSubset(key, base, 3);
-  return {seq[0], seq[1], seq[2]};
-}
+// PartitionTriangles keys its reducers by the combinatorial rank of the
+// sorted group triple instead of PackTriple: its declared key space is
+// C(b, 3), and base-b packing is sparse in that range — under the engine's
+// partitioned shuffle almost every packed key would land beyond the
+// declared space and collapse into the last partition, serializing the
+// reduce. MultiwayJoinTriangles keeps PackTriple: its key space *is* b^3
+// and the packing is already a dense bijection.
 
 /// Value shipped by the multiway-join mapper: the edge plus the roles
 /// (XY=1, YZ=2, XZ=4) it plays at the receiving reducer. Overlapping roles
@@ -124,51 +105,31 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
                                         uint64_t seed, InstanceSink* sink,
                                         const ExecutionPolicy& policy,
                                         JobMetrics* job) {
-  if (buckets < 1) throw std::invalid_argument("buckets must be >= 1");
-  const BucketHasher hasher(buckets, seed);
-  const NodeOrder order = NodeOrder::ByBucket(graph.num_nodes(), hasher);
-  const uint64_t key_space = Binomial(buckets + 2, 3);
+  const BucketScheme scheme(buckets, 3, seed);
+  const NodeOrder order =
+      NodeOrder::ByBucket(graph.num_nodes(), scheme.hasher());
 
   auto map_fn = [&](const Edge& edge, Emitter<Edge>* out) {
     const Edge oriented = order.Orient(edge);
-    const int i = hasher.Bucket(oriented.first);
-    const int j = hasher.Bucket(oriented.second);  // i <= j by the order
-    for (int w = 0; w < buckets; ++w) {
-      std::array<int, 3> triple = {i, j, w};
-      std::sort(triple.begin(), triple.end());
-      out->Emit(RankTriple(triple, buckets), oriented);
-    }
+    scheme.ForEachReducer(oriented.first, oriented.second,
+                          [&](uint64_t key) { out->Emit(key, oriented); });
   };
 
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
-    const std::array<int, 3> triple = UnrankTriple(key, buckets);
     const Subgraph local = BuildSubgraph(values);
     context->cost->edges_scanned += values.size();
     const NodeOrder local_order =
         NodeOrder::Project(order, local.local_to_global);
-    CollectingSink local_sink;
-    EnumerateTriangles(local.graph, local_order, &local_sink, context->cost);
-    for (const auto& assignment : local_sink.assignments()) {
-      // Keep only triangles whose sorted bucket triple is this reducer's
-      // (other reducers see the same triangle's edges but skip it).
-      std::array<int, 3> got = {
-          hasher.Bucket(local.local_to_global[assignment[0]]),
-          hasher.Bucket(local.local_to_global[assignment[1]]),
-          hasher.Bucket(local.local_to_global[assignment[2]])};
-      std::sort(got.begin(), got.end());
-      if (got != triple) continue;
-      const std::array<NodeId, 3> global = {
-          local.local_to_global[assignment[0]],
-          local.local_to_global[assignment[1]],
-          local.local_to_global[assignment[2]]};
-      context->EmitInstance(global);
-    }
+    ReducerSink owned(local.local_to_global, context,
+                      scheme.OwnershipOf(key));
+    EnumerateTriangles(local.graph, local_order, &owned, context->cost);
   };
 
   JobDriver driver(policy);
   const RoundSpec<Edge, Edge> round{"ordered-buckets", map_fn, reduce_fn,
-                                    key_space, {}};
+                                    scheme.key_space(), {},
+                                    scheme.replication()};
   const MapReduceMetrics metrics = driver.RunRound(round, graph.edges(), sink);
   if (job != nullptr) *job = driver.job();
   return metrics;
@@ -187,66 +148,27 @@ MapReduceMetrics PartitionTriangles(const Graph& graph, int num_groups,
     int i = hasher.Bucket(edge.first);
     int j = hasher.Bucket(edge.second);
     if (i > j) std::swap(i, j);
-    if (i == j) {
-      // Both endpoints in group i: send to every triple containing i.
-      for (int x = 0; x < b; ++x) {
-        if (x == i) continue;
-        for (int y = x + 1; y < b; ++y) {
-          if (y == i) continue;
-          std::array<int, 3> triple = {i, x, y};
-          std::sort(triple.begin(), triple.end());
-          out->Emit(RankStrictTriple(triple, b), edge);
-        }
-      }
-    } else {
-      for (int w = 0; w < b; ++w) {
-        if (w == i || w == j) continue;
-        std::array<int, 3> triple = {i, j, w};
-        std::sort(triple.begin(), triple.end());
-        out->Emit(RankStrictTriple(triple, b), edge);
-      }
-    }
+    std::vector<int> required = {i};
+    if (j != i) required.push_back(j);
+    ForEachGroupSubsetContaining(
+        b, 3, required, [&](const std::vector<int>& triple) {
+          out->Emit(RankSubset3(triple[0], triple[1], triple[2], b), edge);
+        });
   };
 
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
-    const std::array<int, 3> own = UnrankStrictTriple(key, b);
+    const std::vector<int> own = UnrankSubset(key, b, 3);
     const Subgraph local = BuildSubgraph(values);
     context->cost->edges_scanned += values.size();
     const NodeOrder local_order = NodeOrder::Identity(local.graph.num_nodes());
-    CollectingSink local_sink;
-    EnumerateTriangles(local.graph, local_order, &local_sink, context->cost);
-    for (const auto& assignment : local_sink.assignments()) {
-      const std::array<NodeId, 3> global = {
-          local.local_to_global[assignment[0]],
-          local.local_to_global[assignment[1]],
-          local.local_to_global[assignment[2]]};
-      // De-duplication: the triangle's distinct groups H are contained in
-      // several reducer triples; only the canonical one (H padded with the
-      // smallest unused group ids) emits it.
-      std::array<int, 3> groups = {hasher.Bucket(global[0]),
-                                   hasher.Bucket(global[1]),
-                                   hasher.Bucket(global[2])};
-      std::sort(groups.begin(), groups.end());
-      std::vector<int> distinct;
-      for (int g : groups) {
-        if (distinct.empty() || distinct.back() != g) distinct.push_back(g);
-      }
-      for (int candidate = 0;
-           static_cast<int>(distinct.size()) < 3 && candidate < b;
-           ++candidate) {
-        bool present = false;
-        for (int g : distinct) present |= (g == candidate);
-        if (!present) {
-          distinct.push_back(candidate);
-          std::sort(distinct.begin(), distinct.end());
-        }
-      }
-      const std::array<int, 3> canonical = {distinct[0], distinct[1],
-                                            distinct[2]};
-      if (canonical != own) continue;
-      context->EmitInstance(global);
-    }
+    // De-duplication: the triangle's distinct groups lie in several
+    // reducer triples; only the canonical one emits it.
+    ReducerSink owned(local.local_to_global, context,
+                      [&](std::span<const NodeId> global) {
+                        return CanonicalGroupSubset(hasher, global, 3) == own;
+                      });
+    EnumerateTriangles(local.graph, local_order, &owned, context->cost);
   };
 
   JobDriver driver(policy);

@@ -24,12 +24,9 @@ uint64_t EnumerateDirectedInstances(const DirectedSampleGraph& pattern,
                                     const DirectedGraph& graph,
                                     InstanceSink* sink, CostCounter* cost);
 
-/// Bucket-oriented single-round map-reduce enumeration: same hashing and
-/// reducer space as the undirected Section 4.5 scheme — one shared hash
-/// function, C(b+p-1, p) reducers, arcs shipped to every nondecreasing
-/// bucket multiset containing both endpoints' buckets, replication
-/// C(b+p-3, p-2) per arc. Reducers enumerate locally and keep instances
-/// whose bucket multiset is their own.
+/// Single-round map-reduce enumeration under the Section 4.5 BucketScheme
+/// (core/bucket_oriented.h), with arcs in place of edges. Reducers run the
+/// serial directed matcher on their local arcs.
 MapReduceMetrics DirectedBucketOrientedEnumerate(
     const DirectedSampleGraph& pattern, const DirectedGraph& graph,
     int buckets, uint64_t seed, InstanceSink* sink,

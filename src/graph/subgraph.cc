@@ -5,6 +5,15 @@
 namespace smr {
 
 Subgraph BuildSubgraph(std::span<const Edge> edges) {
+  std::vector<Edge> local_edges;
+  std::vector<NodeId> local_to_global = RelabelDensely(edges, &local_edges);
+  const auto num_nodes = static_cast<NodeId>(local_to_global.size());
+  return Subgraph{Graph(num_nodes, std::move(local_edges)),
+                  std::move(local_to_global)};
+}
+
+std::vector<NodeId> RelabelDensely(std::span<const Edge> edges,
+                                   std::vector<Edge>* local_edges) {
   std::vector<NodeId> nodes;
   nodes.reserve(edges.size() * 2);
   for (const Edge& e : edges) {
@@ -18,14 +27,12 @@ Subgraph BuildSubgraph(std::span<const Edge> edges) {
     return static_cast<NodeId>(
         std::lower_bound(nodes.begin(), nodes.end(), global) - nodes.begin());
   };
-  std::vector<Edge> local_edges;
-  local_edges.reserve(edges.size());
+  local_edges->clear();
+  local_edges->reserve(edges.size());
   for (const Edge& e : edges) {
-    local_edges.emplace_back(local_id(e.first), local_id(e.second));
+    local_edges->emplace_back(local_id(e.first), local_id(e.second));
   }
-  return Subgraph{Graph(static_cast<NodeId>(nodes.size()),
-                        std::move(local_edges)),
-                  std::move(nodes)};
+  return nodes;
 }
 
 }  // namespace smr

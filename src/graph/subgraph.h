@@ -22,6 +22,12 @@ struct Subgraph {
 /// coincides with identity ordering of global ids.
 Subgraph BuildSubgraph(std::span<const Edge> edges);
 
+/// BuildSubgraph's relabeling, for reducers that build another graph type
+/// (the directed ones): writes `edges` in dense local ids, in input order,
+/// to `local_edges` and returns local_to_global, sorted ascending.
+std::vector<NodeId> RelabelDensely(std::span<const Edge> edges,
+                                   std::vector<Edge>* local_edges);
+
 }  // namespace smr
 
 #endif  // SMR_GRAPH_SUBGRAPH_H_

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <stdexcept>
 
+#include "core/bucket_oriented.h"
 #include "cq/cq_evaluator.h"
 #include "graph/node_order.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
+#include "serial/matcher.h"
 #include "util/combinatorics.h"
 
 namespace smr {
@@ -62,45 +63,11 @@ uint64_t EnumerateLabeledInstances(const LabeledSampleGraph& pattern,
   std::vector<bool> bound(p, false);
   uint64_t found = 0;
 
-  // Variable order: each new variable adjacent to a bound one when possible.
-  std::vector<int> var_order;
-  {
-    std::vector<bool> placed(p, false);
-    for (int step = 0; step < p; ++step) {
-      int best = -1;
-      int best_bound = -1;
-      for (int v = 0; v < p; ++v) {
-        if (placed[v]) continue;
-        int bound_nbrs = 0;
-        for (int w : skeleton.Neighbors(v)) {
-          if (placed[w]) ++bound_nbrs;
-        }
-        if (bound_nbrs > best_bound) {
-          best = v;
-          best_bound = bound_nbrs;
-        }
-      }
-      placed[best] = true;
-      var_order.push_back(best);
-    }
-  }
+  const std::vector<int> var_order = ConnectedVariableOrder(skeleton);
 
   std::function<void(size_t)> match = [&](size_t depth) {
     if (depth == var_order.size()) {
-      bool canonical = true;
-      for (const auto& mu : automorphisms) {
-        for (int x = 0; x < p; ++x) {
-          const NodeId lhs = assignment[x];
-          const NodeId rhs = assignment[mu[x]];
-          if (lhs < rhs) break;
-          if (lhs > rhs) {
-            canonical = false;
-            break;
-          }
-        }
-        if (!canonical) break;
-      }
-      if (!canonical) return;
+      if (!IsCanonicalEmbedding(assignment, automorphisms)) return;
       ++found;
       if (cost != nullptr) ++cost->outputs;
       if (sink != nullptr) sink->Emit(assignment);
@@ -146,46 +113,24 @@ uint64_t EnumerateLabeledInstances(const LabeledSampleGraph& pattern,
   return found;
 }
 
-// Reducer keys are combinatorial multiset ranks (RankNondecreasing): dense
-// in the declared key space C(b+p-1, p) — which the engine's partitioned
-// shuffle needs for balanced key ranges — and free of the uint64_t wrap
-// that base-b positional packing hits once b^p > 2^64.
-
 MapReduceMetrics LabeledBucketOrientedEnumerate(
     const LabeledSampleGraph& pattern, const LabeledGraph& graph, int buckets,
     uint64_t seed, InstanceSink* sink, const ExecutionPolicy& policy,
     JobMetrics* job) {
-  const int p = pattern.num_vars();
-  if (!BinomialFitsUint64(buckets + p - 1, p)) {
-    throw std::invalid_argument(
-        "labeled bucket-oriented reducer key space C(b+p-1, p) exceeds 64 "
-        "bits; reduce the bucket count b or the pattern size p");
-  }
-  const BucketHasher hasher(buckets, seed);
-  const NodeOrder order = NodeOrder::ByBucket(graph.num_nodes(), hasher);
-  const uint64_t key_space = Binomial(buckets + p - 1, p);
+  const BucketScheme scheme(buckets, pattern.num_vars(), seed);
+  const NodeOrder order =
+      NodeOrder::ByBucket(graph.num_nodes(), scheme.hasher());
   const auto cqs = LabeledCqsForSample(pattern);
-  const std::vector<std::vector<int>> paddings =
-      NondecreasingSequences(buckets, p - 2);
 
   auto map_fn = [&](const LabeledEdge& edge, Emitter<LabeledEdge>* out) {
     const Edge oriented = order.Orient({edge.u, edge.v});
-    const int i = hasher.Bucket(oriented.first);
-    const int j = hasher.Bucket(oriented.second);
-    std::vector<int> multiset(p);
-    for (const auto& padding : paddings) {
-      multiset.assign(padding.begin(), padding.end());
-      multiset.push_back(i);
-      multiset.push_back(j);
-      std::sort(multiset.begin(), multiset.end());
-      out->Emit(RankNondecreasing(multiset, buckets),
-                LabeledEdge{oriented.first, oriented.second, edge.label});
-    }
+    const LabeledEdge value{oriented.first, oriented.second, edge.label};
+    scheme.ForEachReducer(oriented.first, oriented.second,
+                          [&](uint64_t key) { out->Emit(key, value); });
   };
 
   auto reduce_fn = [&](uint64_t key, std::span<const LabeledEdge> values,
                        ReduceContext* context) {
-    const std::vector<int> own = UnrankNondecreasing(key, buckets, p);
     std::vector<Edge> skeleton_edges;
     skeleton_edges.reserve(values.size());
     for (const auto& e : values) skeleton_edges.emplace_back(e.u, e.v);
@@ -195,61 +140,31 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
         NodeOrder::Project(order, local.local_to_global);
     const CqEvaluator evaluator(local.graph, local_order);
 
-    // Sink: translate to global ids, check labels, check bucket multiset.
-    class LabeledSink : public InstanceSink {
-     public:
-      LabeledSink(const Subgraph& local, const LabeledGraph& graph,
-                  const LabeledCq** current, const BucketHasher& hasher,
-                  const std::vector<int>& own, ReduceContext* context)
-          : local_(local),
-            graph_(graph),
-            current_(current),
-            hasher_(hasher),
-            own_(own),
-            context_(context) {}
-
-      void Emit(std::span<const NodeId> assignment) override {
-        scratch_.assign(assignment.size(), 0);
-        for (size_t i = 0; i < assignment.size(); ++i) {
-          scratch_[i] = local_.local_to_global[assignment[i]];
-        }
-        const LabeledCq& lcq = **current_;
-        for (size_t s = 0; s < lcq.cq.subgoals().size(); ++s) {
-          const auto& [a, b] = lcq.cq.subgoals()[s];
-          if (!graph_.HasLabeledEdge(scratch_[a], scratch_[b],
-                                     lcq.labels[s])) {
-            return;
-          }
-        }
-        std::vector<int> got;
-        got.reserve(scratch_.size());
-        for (NodeId node : scratch_) got.push_back(hasher_.Bucket(node));
-        std::sort(got.begin(), got.end());
-        if (got != own_) return;
-        context_->EmitInstance(scratch_);
-      }
-
-     private:
-      const Subgraph& local_;
-      const LabeledGraph& graph_;
-      const LabeledCq** current_;
-      const BucketHasher& hasher_;
-      const std::vector<int>& own_;
-      ReduceContext* context_;
-      std::vector<NodeId> scratch_;
-    };
-
+    // The structural CQ runs on the skeleton; the label selection happens
+    // on the solution's global ids.
     const LabeledCq* current = nullptr;
-    LabeledSink labeled_sink(local, graph, &current, hasher, own, context);
+    ReducerSink owned(local.local_to_global, context, scheme.OwnershipOf(key),
+                      [&](std::span<const NodeId> global) {
+                        const auto& subgoals = current->cq.subgoals();
+                        for (size_t s = 0; s < subgoals.size(); ++s) {
+                          if (!graph.HasLabeledEdge(global[subgoals[s].first],
+                                                    global[subgoals[s].second],
+                                                    current->labels[s])) {
+                            return false;
+                          }
+                        }
+                        return true;
+                      });
     for (const LabeledCq& lcq : cqs) {
       current = &lcq;
-      evaluator.Evaluate(lcq.cq, &labeled_sink, context->cost);
+      evaluator.Evaluate(lcq.cq, &owned, context->cost);
     }
   };
 
   JobDriver driver(policy);
-  const RoundSpec<LabeledEdge, LabeledEdge> round{"labeled-bucket", map_fn,
-                                                  reduce_fn, key_space, {}};
+  const RoundSpec<LabeledEdge, LabeledEdge> round{
+      "labeled-bucket", map_fn, reduce_fn, scheme.key_space(), {},
+      scheme.replication()};
   const MapReduceMetrics metrics =
       driver.RunRound(round, graph.labeled_edges(), sink);
   if (job != nullptr) *job = driver.job();

@@ -40,9 +40,10 @@ uint64_t EnumerateLabeledInstances(const LabeledSampleGraph& pattern,
                                    const LabeledGraph& graph,
                                    InstanceSink* sink, CostCounter* cost);
 
-/// Bucket-oriented single-round map-reduce enumeration (Section 4.5 scheme
-/// on the skeleton; labels shipped with the edges and checked at the
-/// reducers). Every labeled instance is emitted exactly once.
+/// Single-round map-reduce enumeration on the skeleton under the Section
+/// 4.5 BucketScheme (core/bucket_oriented.h). Labels travel with the edges
+/// and are checked at the reducers. Every labeled instance is emitted
+/// exactly once.
 MapReduceMetrics LabeledBucketOrientedEnumerate(
     const LabeledSampleGraph& pattern, const LabeledGraph& graph, int buckets,
     uint64_t seed, InstanceSink* sink,

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "graph/intersect.h"
+#include "serial/matcher.h"
 #include "util/arena.h"
 
 namespace smr {
@@ -97,20 +98,7 @@ uint64_t EnumerateBoundedDegree(const SampleGraph& pattern, const Graph& graph,
 
   std::function<void(int)> extend = [&](int depth) {
     if (depth == p) {
-      bool canonical = true;
-      for (const auto& mu : automorphisms) {
-        for (int x = 0; x < p; ++x) {
-          const NodeId lhs = assignment[x];
-          const NodeId rhs = assignment[mu[x]];
-          if (lhs < rhs) break;
-          if (lhs > rhs) {
-            canonical = false;
-            break;
-          }
-        }
-        if (!canonical) break;
-      }
-      if (!canonical) return;
+      if (!IsCanonicalEmbedding(assignment, automorphisms)) return;
       ++found;
       ++c->outputs;
       if (sink != nullptr) sink->Emit(assignment);

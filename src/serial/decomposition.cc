@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "serial/matcher.h"
 #include "serial/odd_cycle.h"
 
 namespace smr {
@@ -237,20 +238,7 @@ uint64_t EnumerateByDecomposition(const SampleGraph& pattern,
   std::function<void(size_t)> combine = [&](size_t t) {
     if (t == decomposition.parts.size()) {
       // Lexicographic-first rule over the full automorphism group.
-      bool canonical = true;
-      for (const auto& mu : automorphisms) {
-        for (int x = 0; x < p; ++x) {
-          const NodeId lhs = assignment[x];
-          const NodeId rhs = assignment[mu[x]];
-          if (lhs < rhs) break;
-          if (lhs > rhs) {
-            canonical = false;
-            break;
-          }
-        }
-        if (!canonical) break;
-      }
-      if (!canonical) return;
+      if (!IsCanonicalEmbedding(assignment, automorphisms)) return;
       ++found;
       if (cost != nullptr) ++cost->outputs;
       if (sink != nullptr) sink->Emit(assignment);

@@ -26,25 +26,9 @@ struct MatchState {
   uint64_t found = 0;
 };
 
-/// Accepts an embedding iff its tuple is lexicographically minimal among all
-/// compositions with pattern automorphisms.
-bool IsCanonicalEmbedding(const MatchState& s) {
-  const auto& assignment = s.assignment;
-  for (const auto& mu : *s.automorphisms) {
-    // Compare assignment with assignment o mu, i.e. x -> assignment[mu[x]].
-    for (size_t x = 0; x < assignment.size(); ++x) {
-      const NodeId lhs = assignment[x];
-      const NodeId rhs = assignment[mu[x]];
-      if (lhs < rhs) break;              // original is smaller: next mu
-      if (lhs > rhs) return false;       // a smaller relabeling exists
-    }
-  }
-  return true;
-}
-
 void Match(MatchState* s, size_t depth) {
   if (depth == s->var_order.size()) {
-    if (IsCanonicalEmbedding(*s)) {
+    if (IsCanonicalEmbedding(s->assignment, *s->automorphisms)) {
       ++s->found;
       ++s->cost->outputs;
       if (s->sink != nullptr) s->sink->Emit(s->assignment);

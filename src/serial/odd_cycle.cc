@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "serial/matcher.h"
 #include "serial/two_paths.h"
 
 namespace smr {
@@ -204,20 +205,7 @@ uint64_t EnumerateHamiltonianOddPattern(const SampleGraph& pattern,
         }
         if (!ok) continue;
         // Canonical-embedding dedup (Lemma 6.1's lexicographic rule).
-        bool canonical = true;
-        for (const auto& mu : automorphisms) {
-          for (int x = 0; x < p; ++x) {
-            const NodeId lhs = assignment[x];
-            const NodeId rhs = assignment[mu[x]];
-            if (lhs < rhs) break;
-            if (lhs > rhs) {
-              canonical = false;
-              break;
-            }
-          }
-          if (!canonical) break;
-        }
-        if (!canonical) continue;
+        if (!IsCanonicalEmbedding(assignment, automorphisms)) continue;
         ++found;
         ++c->outputs;
         if (sink != nullptr) sink->Emit(assignment);

@@ -18,14 +18,20 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/bucket_oriented.h"
+#include "core/triangle_algorithms.h"
+#include "directed/directed_enumeration.h"
+#include "directed/directed_graph.h"
 #include "graph/graph.h"
 #include "graph/sample_graph.h"
+#include "labeled/labeled_enumeration.h"
+#include "labeled/labeled_graph.h"
 #include "mapreduce/instance_sink.h"
 #include "util/combinatorics.h"
 #include "util/hashing.h"
@@ -149,15 +155,75 @@ TEST(ReducerKey, UnrankNondecreasingInvertsEnumerationOrder) {
 }
 
 TEST(ReducerKey, BucketOrientedRejectsOverflowingKeySpace) {
-  // C(b+p-1, p) itself above 2^64 must be a clear error, not a wrap. The
-  // check fires before any per-edge work, so an empty CQ set and a one-edge
-  // graph suffice.
-  const Graph g(2, {{0, 1}});
-  const SampleGraph pattern = SampleGraph::Path(30);
+  // Every bucket-oriented entry point validates through BucketScheme:
+  // b < 1 and a key space C(b+p-1, p) above 2^64 are named errors, not a
+  // division by zero, a wrap, or a hang. The check runs before any CQ
+  // generation, automorphism computation or per-edge work, so one-edge
+  // graphs, an empty CQ set and 30-node path patterns suffice.
+  const Graph graph(2, {{0, 1}});
+  const LabeledGraph labeled_graph(2, {{0, 1, 0}});
+  const DirectedGraph directed_graph(2, {{0, 1}});
+  const SampleGraph triangle = SampleGraph::Triangle();
+  const LabeledSampleGraph labeled_triangle(3, {{0, 1, 0}, {0, 2, 0},
+                                                {1, 2, 0}});
+  const DirectedSampleGraph cycle_triad = DirectedSampleGraph::CycleTriad();
+  const SampleGraph path = SampleGraph::Path(30);
+  std::vector<std::tuple<int, int, EdgeLabel>> labeled_path_edges;
+  for (int v = 0; v + 1 < 30; ++v) labeled_path_edges.emplace_back(v, v + 1, 0);
+  const LabeledSampleGraph labeled_path(30, labeled_path_edges);
+  const DirectedSampleGraph directed_path =
+      DirectedSampleGraph::DirectedPath(30);
   ASSERT_FALSE(BinomialFitsUint64(500 + 30 - 1, 30));
-  EXPECT_THROW(
-      BucketOrientedEnumerate(pattern, {}, g, 500, 1, nullptr),
-      std::invalid_argument);
+  // A round bucket count just past C(b+2, 3) > 2^64 for triangles; the
+  // check must fire before the mapper ships b pairs per edge.
+  constexpr int kTriangleOverflowB = 5'000'000;
+  ASSERT_FALSE(BinomialFitsUint64(kTriangleOverflowB + 2, 3));
+
+  // Each entry point runs a small pattern at bucket count b, and a pattern
+  // and b whose key space overflows.
+  struct EntryPoint {
+    const char* name;
+    std::function<void(int)> run_small;
+    std::function<void()> run_overflowing;
+  };
+  const std::vector<EntryPoint> entry_points = {
+      {"BucketOrientedEnumerate",
+       [&](int b) {
+         BucketOrientedEnumerate(triangle, {}, graph, b, 1, nullptr);
+       },
+       [&] { BucketOrientedEnumerate(path, {}, graph, 500, 1, nullptr); }},
+      {"OrderedBucketTriangles",
+       [&](int b) { OrderedBucketTriangles(graph, b, 1, nullptr); },
+       [&] { OrderedBucketTriangles(graph, kTriangleOverflowB, 1, nullptr); }},
+      {"LabeledBucketOrientedEnumerate",
+       [&](int b) {
+         LabeledBucketOrientedEnumerate(labeled_triangle, labeled_graph, b, 1,
+                                        nullptr);
+       },
+       [&] {
+         LabeledBucketOrientedEnumerate(labeled_path, labeled_graph, 500, 1,
+                                        nullptr);
+       }},
+      {"DirectedBucketOrientedEnumerate",
+       [&](int b) {
+         DirectedBucketOrientedEnumerate(cycle_triad, directed_graph, b, 1,
+                                         nullptr);
+       },
+       [&] {
+         DirectedBucketOrientedEnumerate(directed_path, directed_graph, 500, 1,
+                                         nullptr);
+       }},
+  };
+  for (int b : {0, -1}) {
+    for (const EntryPoint& entry : entry_points) {
+      EXPECT_THROW(entry.run_small(b), std::invalid_argument)
+          << entry.name << " b=" << b;
+    }
+  }
+  for (const EntryPoint& entry : entry_points) {
+    EXPECT_THROW(entry.run_overflowing(), std::invalid_argument)
+        << entry.name << " overflowing key space";
+  }
 }
 
 TEST(ReducerKey, GeneralizedPartitionRejectsOverflowingKeySpace) {

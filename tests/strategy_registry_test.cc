@@ -42,6 +42,13 @@ LabeledGraph TestLabeledGraph(const Graph& skeleton) {
   return LabeledGraph(skeleton.num_nodes(), std::move(edges));
 }
 
+/// `skeleton` with every edge carrying label 0.
+LabeledGraph UniformlyLabeled(const Graph& skeleton) {
+  std::vector<LabeledEdge> edges;
+  for (const auto& [u, v] : skeleton.edges()) edges.push_back({u, v, 0});
+  return LabeledGraph(skeleton.num_nodes(), std::move(edges));
+}
+
 DirectedGraph TestDirectedGraph(const Graph& skeleton) {
   return DirectedGraph(skeleton.num_nodes(), skeleton.edges());
 }
@@ -80,9 +87,7 @@ TEST(StrategyRegistry, EveryStrategyMatchesSerialReferenceOnTriangle) {
 
   const LabeledSampleGraph labeled_pattern(3, {{0, 1, 0}, {0, 2, 0},
                                                {1, 2, 0}});
-  std::vector<LabeledEdge> uniform;
-  for (const auto& [u, v] : graph.edges()) uniform.push_back({u, v, 0});
-  const LabeledGraph labeled_graph(graph.num_nodes(), std::move(uniform));
+  const LabeledGraph labeled_graph = UniformlyLabeled(graph);
 
   const DirectedSampleGraph directed_pattern(3, {{0, 1}, {0, 2}, {1, 2}});
   const DirectedGraph directed_graph = TestDirectedGraph(graph);
@@ -465,6 +470,62 @@ TEST(StrategyRegistry, LabeledAndDirectedMatchLegacyEntryPoints) {
   EXPECT_EQ(directed_result.instances,
             EnumerateDirectedInstances(directed_pattern, directed_graph,
                                        nullptr, nullptr));
+}
+
+TEST(StrategyRegistry, BucketSchemeIsSharedAcrossFamilies) {
+  // bucket:b, labeled:b and directed:b run on one Section 4.5 scheme. On a
+  // uniformly labeled view the labeled run must ship the same pairs to the
+  // same reducers and find the same instances as bucket:b; on the
+  // low-id -> high-id orientation the directed run must ship the same
+  // pairs to the same reducers.
+  const Graph graph = TestGraph();
+  const LabeledGraph labeled_graph = UniformlyLabeled(graph);
+  const DirectedGraph directed_graph = TestDirectedGraph(graph);
+  for (const SampleGraph& pattern :
+       {SampleGraph::Triangle(), SampleGraph::Square(),
+        SampleGraph::Lollipop()}) {
+    std::vector<std::tuple<int, int, EdgeLabel>> labeled_edges;
+    std::vector<std::pair<int, int>> arcs;
+    for (const auto& [a, b] : pattern.edges()) {
+      labeled_edges.emplace_back(a, b, 0);
+      arcs.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    const LabeledSampleGraph labeled_pattern(pattern.num_vars(),
+                                             labeled_edges);
+    const DirectedSampleGraph directed_pattern(pattern.num_vars(), arcs);
+    for (int b : {1, 3, 5}) {
+      const std::string buckets = ":" + std::to_string(b);
+      const std::string where = pattern.ToString() + " b" + buckets;
+      CollectingSink bucket_sink;
+      const EnumerationResult bucket = StrategyRegistry::Global().Run(
+          EnumerationQuery::Undirected(pattern, graph)
+              .WithStrategy("bucket" + buckets)
+              .WithSink(&bucket_sink));
+      CollectingSink labeled_sink;
+      const EnumerationResult labeled = StrategyRegistry::Global().Run(
+          EnumerationQuery::Labeled(labeled_pattern, labeled_graph)
+              .WithStrategy("labeled" + buckets)
+              .WithSink(&labeled_sink));
+      const EnumerationResult directed = StrategyRegistry::Global().Run(
+          EnumerationQuery::Directed(directed_pattern, directed_graph)
+              .WithStrategy("directed" + buckets));
+
+      ASSERT_GT(bucket.instances, 0u) << where;
+      EXPECT_EQ(labeled.metrics.key_value_pairs,
+                bucket.metrics.key_value_pairs)
+          << where;
+      EXPECT_EQ(labeled.metrics.distinct_keys, bucket.metrics.distinct_keys)
+          << where;
+      EXPECT_EQ(labeled_sink.Keys(pattern.edges()),
+                bucket_sink.Keys(pattern.edges()))
+          << where;
+      EXPECT_EQ(directed.metrics.key_value_pairs,
+                bucket.metrics.key_value_pairs)
+          << where;
+      EXPECT_EQ(directed.metrics.distinct_keys, bucket.metrics.distinct_keys)
+          << where;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
