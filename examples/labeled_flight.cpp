@@ -7,7 +7,8 @@
 // (person-supplier). The pattern is a co-booked triangle of people all
 // purchasing from one supplier — a labeled wheel on p = 4 variables.
 //
-// Run: ./build/examples/labeled_flight
+// Run: ./build/examples/labeled_flight  (exits 1 if the map-reduce and
+// serial counts disagree)
 
 #include <cstdio>
 #include <set>
@@ -93,5 +94,5 @@ int main() {
     std::printf("  people {%u, %u, %u} -> supplier %u\n", group[0], group[1],
                 group[2], group[3] - travellers);
   }
-  return 0;
+  return hits.assignments().size() == serial ? 0 : 1;
 }

@@ -15,6 +15,13 @@ namespace smr {
 
 BucketScheme::BucketScheme(int buckets, int p, uint64_t seed)
     : buckets_(buckets), p_(p), hasher_(buckets, seed) {
+  Validate(buckets, p);
+  key_space_ = Binomial(int64_t{buckets} + p - 1, p);
+  replication_ = static_cast<double>(Binomial(int64_t{buckets} + p - 3, p - 2));
+  if (p != 3) paddings_ = NondecreasingSequences(buckets, p - 2);
+}
+
+void BucketScheme::Validate(int buckets, int p) {
   if (buckets < 1) {
     throw std::invalid_argument(
         "bucket-oriented processing needs b >= 1 buckets");
@@ -28,9 +35,6 @@ BucketScheme::BucketScheme(int buckets, int p, uint64_t seed)
         "bucket-oriented reducer key space C(b+p-1, p) exceeds 64 bits; "
         "reduce the bucket count b or the pattern size p");
   }
-  key_space_ = Binomial(int64_t{buckets} + p - 1, p);
-  replication_ = static_cast<double>(Binomial(int64_t{buckets} + p - 3, p - 2));
-  if (p != 3) paddings_ = NondecreasingSequences(buckets, p - 2);
 }
 
 uint64_t BucketScheme::PaddedKey(const std::vector<int>& padding, int i,

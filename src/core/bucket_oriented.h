@@ -40,6 +40,10 @@ class BucketScheme {
   /// automorphisms, so bad parameters fail before any expensive work.
   BucketScheme(int buckets, int p, uint64_t seed);
 
+  /// The constructor's checks alone, for callers that must reject bad
+  /// parameters before preparing the enumerator's inputs.
+  static void Validate(int buckets, int p);
+
   const BucketHasher& hasher() const { return hasher_; }
   uint64_t key_space() const { return key_space_; }
 

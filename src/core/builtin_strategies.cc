@@ -186,13 +186,15 @@ class BucketStrategy : public BuiltinStrategy {
   }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
+    const int buckets = static_cast<int>(query.spec.values[0].int_value);
+    // Reject a key space past 64 bits before generating the p! orders.
+    BucketScheme::Validate(buckets, query.pattern->num_vars());
     std::optional<std::vector<ConjunctiveQuery>> storage;
     const auto& cqs = ResolveCqs(query, storage);
     JobMetrics job;
     const MapReduceMetrics metrics = BucketOrientedEnumerate(
-        *query.pattern, cqs, *query.graph,
-        static_cast<int>(query.spec.values[0].int_value), query.seed,
-        query.sink, query.policy, &job);
+        *query.pattern, cqs, *query.graph, buckets, query.seed, query.sink,
+        query.policy, &job);
     return SingleRoundResult(metrics, std::move(job));
   }
 };
@@ -515,56 +517,12 @@ class AutoStrategy : public BuiltinStrategy {
     }
     inputs.counting_only =
         query.sink == nullptr || query.sink->CountsOnly();
+    // The advisor's pick is the one selection: it prices every eligible
+    // plan, calibrated by CostCalibration, and the plan text names it.
     const StrategyPlan plan = PlanEnumeration(*query.pattern, inputs);
-
-    // Candidate specs in the advisor's preference order (ties keep the
-    // earlier one). The selection itself flows through each candidate's
-    // EstimateCostPerEdge hook — the same shared closed forms the plan
-    // text prints, so the pick always matches plan.recommended.
-    std::vector<StrategySpec> candidates;
-    {
-      StrategySpec bucket;
-      bucket.name = "bucket";
-      bucket.values = {TunableValue::Int(plan.buckets)};
-      candidates.push_back(std::move(bucket));
-      StrategySpec variable;
-      variable.name = "variable-auto";
-      variable.values = {TunableValue::Double(inputs.k)};
-      candidates.push_back(std::move(variable));
-      if (multi_round) {
-        candidates.push_back(StrategySpec{"tworound", {}});
-        // The census never emits instances, so it is eligible only when
-        // the query just counts.
-        if (inputs.counting_only) {
-          candidates.push_back(StrategySpec{"census", {}});
-        }
-      }
-    }
-
-    const StrategyRegistry& registry = StrategyRegistry::Global();
-    const CostCalibration& calibration = CostCalibration::Global();
     EnumerationQuery delegated = query;
-    delegated.spec = StrategySpec{};  // filled by the cheapest candidate
-    double best_cost = 0;
-    for (StrategySpec& candidate : candidates) {
-      const Strategy& strategy = registry.Require(candidate.name);
-      EnumerationQuery probe = query;
-      probe.spec = strategy.ResolveSpec(std::move(candidate));
-      const std::optional<double> pairs = strategy.EstimateCostPerEdge(probe);
-      if (!pairs) continue;
-      // Price the candidate in bytes per edge: closed-form pairs per edge
-      // times the strategy's measured bytes per pair when a process-backend
-      // run calibrated it, the modeled record size otherwise. With no
-      // calibration recorded every candidate scales identically, so the
-      // ordering is exactly the classic pair comparison.
-      const double cost = calibration.BytesPerEdge(probe.spec.name, *pairs);
-      if (delegated.spec.name.empty() || cost < best_cost) {
-        best_cost = cost;
-        delegated.spec = std::move(probe.spec);
-      }
-    }
-
-    EnumerationResult result = registry.Run(delegated);
+    delegated.spec = ParseStrategySpec(plan.RecommendedSpec());
+    EnumerationResult result = StrategyRegistry::Global().Run(delegated);
     result.plan = plan.ToString();
     return result;
   }

@@ -1,6 +1,8 @@
 #include "core/plan_advisor.h"
 
+#include <charconv>
 #include <sstream>
+#include <string>
 
 #include "cq/cq_generation.h"
 #include "mapreduce/job.h"
@@ -27,6 +29,21 @@ const char* StrategyName(StrategyPlan::Strategy s) {
   return "?";
 }
 
+/// The registry name a plan runs (and is calibrated) under.
+const char* RegistryName(StrategyPlan::Strategy s) {
+  switch (s) {
+    case StrategyPlan::Strategy::kBucketOriented:
+      return "bucket";
+    case StrategyPlan::Strategy::kVariableOriented:
+      return "variable-auto";
+    case StrategyPlan::Strategy::kTwoRound:
+      return "tworound";
+    case StrategyPlan::Strategy::kCensus:
+      return "census";
+  }
+  return "?";
+}
+
 bool IsTriangle(const SampleGraph& pattern) {
   return pattern.num_vars() == 3 && pattern.num_edges() == 3;
 }
@@ -34,22 +51,16 @@ bool IsTriangle(const SampleGraph& pattern) {
 }  // namespace
 
 std::string StrategyPlan::RecommendedSpec() const {
-  std::ostringstream os;
-  switch (recommended) {
-    case Strategy::kBucketOriented:
-      os << "bucket:" << buckets;
-      break;
-    case Strategy::kVariableOriented:
-      os << "variable-auto:" << k;
-      break;
-    case Strategy::kTwoRound:
-      os << "tworound";
-      break;
-    case Strategy::kCensus:
-      os << "census";
-      break;
+  std::string spec = RegistryName(recommended);
+  if (recommended == Strategy::kBucketOriented) {
+    spec += ":" + std::to_string(buckets);
+  } else if (recommended == Strategy::kVariableOriented) {
+    // Shortest round-trip form, so the spec parses back to exactly k.
+    char text[32];
+    const auto end = std::to_chars(text, text + sizeof(text), k).ptr;
+    spec += ":" + std::string(text, end);
   }
-  return os.str();
+  return spec;
 }
 
 std::string StrategyPlan::ToString() const {
@@ -145,11 +156,20 @@ StrategyPlan PlanEnumeration(const SampleGraph& pattern,
     }
   }
 
-  // Cheapest eligible strategy; ties keep the earlier candidate.
+  // Cheapest eligible strategy; ties keep the earlier candidate. Each plan
+  // is priced in bytes per edge: its pairs per edge times the bytes per
+  // pair CostCalibration measured for it, or the modeled record size. With
+  // nothing measured every plan scales alike, so the pick is the plain
+  // pair comparison.
+  const CostCalibration& calibration = CostCalibration::Global();
   plan.recommended = StrategyPlan::Strategy::kBucketOriented;
-  double best = plan.bucket_cost_per_edge;
-  const auto consider = [&](StrategyPlan::Strategy candidate, double cost) {
-    if (cost > 0 && cost < best) {
+  double best = calibration.BytesPerEdge(RegistryName(plan.recommended),
+                                         plan.bucket_cost_per_edge);
+  const auto consider = [&](StrategyPlan::Strategy candidate, double pairs) {
+    if (pairs <= 0) return;  // not eligible
+    const double cost = calibration.BytesPerEdge(RegistryName(candidate),
+                                                 pairs);
+    if (cost < best) {
       best = cost;
       plan.recommended = candidate;
     }

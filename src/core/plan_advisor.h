@@ -88,8 +88,9 @@ StrategyPlan PlanEnumeration(const SampleGraph& pattern, double k);
 
 /// Plans for `pattern` with full inputs; recommends the cheapest *eligible*
 /// strategy (two-round needs triangle + wedge statistics, census
-/// additionally a counting-only query). Ties keep the earlier entry in the
-/// order bucket, variable, two-round, census.
+/// additionally a counting-only query), priced in bytes per edge through
+/// CostCalibration::Global(). Ties keep the earlier entry in the order
+/// bucket, variable, two-round, census. `auto:<k>` runs exactly this pick.
 StrategyPlan PlanEnumeration(const SampleGraph& pattern,
                              const PlanInputs& inputs);
 
@@ -102,8 +103,8 @@ uint64_t CountOrderedWedges(const Graph& graph);
 /// counterpart of the closed-form pair counts everything above predicts.
 /// The process backend (mapreduce/process_backend.h) counts the bytes a
 /// strategy's shuffle really puts on the wire; feeding those measurements
-/// in here lets `auto:<k>` price candidate plans in observed bytes per
-/// edge instead of modeled pairs per edge. With no measurement recorded,
+/// in here lets PlanEnumeration (and so `auto:<k>`) price candidate plans
+/// in observed bytes per edge instead of modeled pairs per edge. With no measurement recorded,
 /// every strategy falls back to the modeled record size, so the pricing
 /// order — and therefore every existing `auto` pick — is unchanged.
 /// Thread-safe; process-wide (like the StrategyRegistry it calibrates).
@@ -126,8 +127,8 @@ class CostCalibration {
   /// The measured per-pair cost, if any run of `strategy` was observed.
   std::optional<double> BytesPerPair(const std::string& strategy) const;
 
-  /// The calibrated pricing hook `auto:<k>` folds into every candidate's
-  /// EstimateCostPerEdge: pairs/edge x measured-or-modeled bytes/pair.
+  /// The price PlanEnumeration compares candidates by: pairs/edge x
+  /// measured-or-modeled bytes/pair.
   double BytesPerEdge(const std::string& strategy,
                       double pairs_per_edge) const;
 

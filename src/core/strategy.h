@@ -208,10 +208,9 @@ class Strategy {
   virtual const std::vector<TunableDecl>& tunables() const = 0;
 
   /// Closed-form communication estimate (key-value pairs per data edge)
-  /// for `query`'s resolved spec. The `auto:<k>` strategy selects its plan
-  /// by comparing candidates through this hook (built-ins share the exact
-  /// closed forms the PlanAdvisor prints, so the pick always matches
-  /// plan.recommended). No enumeration happens here; at most an O(n + m)
+  /// for `query`'s resolved spec. Built-ins share the exact closed forms
+  /// that PlanEnumeration prices and prints (core/plan_advisor.h), whose
+  /// pick `auto:<k>` runs. No enumeration happens here; at most an O(n + m)
   /// statistics pass. nullopt when the strategy has no meaningful
   /// per-edge cost (serial).
   virtual std::optional<double> EstimateCostPerEdge(

@@ -1,6 +1,5 @@
 #include "cq/cq_generation.h"
 
-#include <algorithm>
 #include <map>
 
 #include "util/combinatorics.h"
@@ -8,22 +7,16 @@
 namespace smr {
 
 std::vector<ConjunctiveQuery> GenerateOrderCqs(const SampleGraph& pattern) {
-  const auto& automorphisms = pattern.Automorphisms();
+  return GenerateOrderCqs(pattern, pattern.Automorphisms());
+}
+
+std::vector<ConjunctiveQuery> GenerateOrderCqs(
+    const SampleGraph& pattern, std::span<const std::vector<int>> group) {
   std::vector<ConjunctiveQuery> cqs;
-  std::vector<int> relabeled(pattern.num_vars());
   for (const auto& order : AllPermutations(pattern.num_vars())) {
-    // Keep `order` only if it is the lexicographically smallest member of
-    // its orbit under variable relabeling by automorphisms.
-    bool smallest = true;
-    for (const auto& mu : automorphisms) {
-      for (size_t i = 0; i < order.size(); ++i) relabeled[i] = mu[order[i]];
-      if (std::lexicographical_compare(relabeled.begin(), relabeled.end(),
-                                       order.begin(), order.end())) {
-        smallest = false;
-        break;
-      }
+    if (IsLeastInOrbit(order, group)) {
+      cqs.push_back(ConjunctiveQuery::ForOrder(pattern, order));
     }
-    if (smallest) cqs.push_back(ConjunctiveQuery::ForOrder(pattern, order));
   }
   return cqs;
 }

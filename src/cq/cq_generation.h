@@ -1,6 +1,7 @@
 #ifndef SMR_CQ_CQ_GENERATION_H_
 #define SMR_CQ_CQ_GENERATION_H_
 
+#include <span>
 #include <vector>
 
 #include "cq/conjunctive_query.h"
@@ -15,6 +16,12 @@ namespace smr {
 /// of each class is kept. The returned CQs together produce every instance
 /// of the pattern exactly once.
 std::vector<ConjunctiveQuery> GenerateOrderCqs(const SampleGraph& pattern);
+
+/// The same construction under a subgroup `group` of the pattern's
+/// automorphisms: Section 8's labeled patterns pass the label-preserving
+/// group, whose smaller orbits yield more CQs.
+std::vector<ConjunctiveQuery> GenerateOrderCqs(
+    const SampleGraph& pattern, std::span<const std::vector<int>> group);
 
 /// Section 3.3: merges CQs that share the same edge orientation (identical
 /// relational subgoals) by OR-ing their arithmetic conditions. Order of the

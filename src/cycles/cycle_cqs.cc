@@ -125,7 +125,6 @@ std::vector<RunSequenceCq> CycleCqs(int p) {
       // only X2 < Xp; periodicity keeps X1 minimal among period starts.
       const auto automorphisms = DirectedCycleAutomorphisms(p, subgoals);
       std::vector<std::vector<int>> allowed;
-      std::vector<int> relabeled(p);
       for (const auto& order : AllPermutations(p)) {
         const std::vector<int> position = Inverse(order);
         bool consistent = true;
@@ -135,17 +134,9 @@ std::vector<RunSequenceCq> CycleCqs(int p) {
             break;
           }
         }
-        if (!consistent) continue;
-        bool smallest = true;
-        for (const auto& mu : automorphisms) {
-          for (int i = 0; i < p; ++i) relabeled[i] = mu[order[i]];
-          if (std::lexicographical_compare(relabeled.begin(), relabeled.end(),
-                                           order.begin(), order.end())) {
-            smallest = false;
-            break;
-          }
+        if (consistent && IsLeastInOrbit(order, automorphisms)) {
+          allowed.push_back(order);
         }
-        if (smallest) allowed.push_back(order);
       }
       result.push_back(RunSequenceCq{runs, orientation, palindrome,
                                      periodicity,

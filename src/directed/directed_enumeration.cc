@@ -1,6 +1,6 @@
 #include "directed/directed_enumeration.h"
 
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/bucket_oriented.h"
@@ -12,80 +12,40 @@ namespace smr {
 
 namespace {
 
-/// Backtracking enumeration over a directed graph with canonical-embedding
-/// deduplication; shared by the serial path and the reducers.
-uint64_t MatchDirected(const DirectedSampleGraph& pattern,
-                       const DirectedGraph& graph, InstanceSink* sink,
-                       CostCounter* cost) {
-  const int p = pattern.num_vars();
-  const auto& automorphisms = pattern.Automorphisms();
+// PatternLink tags: which way the pattern arc between the placed variable
+// and its bound neighbor points.
+constexpr int kArcFromOther = 0;  // other -> placed
+constexpr int kArcToOther = 1;    // placed -> other
 
-  // Adjacency in either direction anchors a variable.
-  const std::vector<int> var_order = ConnectedVariableOrder(pattern);
+/// Directed adjacency: a candidate reached through an arc other -> placed
+/// must be a successor of the other's data node, through placed -> other a
+/// predecessor. A mutual pair of arcs gives the variable two links, so both
+/// rows constrain it.
+struct DirectedRows {
+  const DirectedGraph& graph;
 
-  std::vector<NodeId> assignment(p, 0);
-  std::vector<bool> bound(p, false);
-  uint64_t found = 0;
+  static constexpr bool kRowIsEdgeTest = true;
+  NodeId num_nodes() const { return graph.num_nodes(); }
+  std::span<const NodeId> Row(PatternLink link, NodeId at) const {
+    return link.tag == kArcFromOther ? graph.Successors(at)
+                                     : graph.Predecessors(at);
+  }
+  bool Holds(PatternLink link, NodeId candidate, NodeId at) const {
+    return link.tag == kArcFromOther ? graph.HasArc(at, candidate)
+                                     : graph.HasArc(candidate, at);
+  }
+};
 
-  std::function<void(size_t)> match = [&](size_t depth) {
-    if (depth == var_order.size()) {
-      if (!IsCanonicalEmbedding(assignment, automorphisms)) return;
-      ++found;
-      if (cost != nullptr) ++cost->outputs;
-      if (sink != nullptr) sink->Emit(assignment);
-      return;
-    }
-    const int var = var_order[depth];
-    // Anchor through an out- or in-neighbor already bound.
-    int anchor = -1;
-    bool anchor_is_source = false;  // anchor -> var
-    for (int w : pattern.Predecessors(var)) {
-      if (bound[w]) {
-        anchor = w;
-        anchor_is_source = true;
-        break;
-      }
-    }
-    if (anchor < 0) {
-      for (int w : pattern.Successors(var)) {
-        if (bound[w]) {
-          anchor = w;
-          anchor_is_source = false;
-          break;
-        }
-      }
-    }
-    auto try_node = [&](NodeId node) {
-      if (cost != nullptr) ++cost->candidates;
-      for (int x = 0; x < p; ++x) {
-        if (bound[x] && assignment[x] == node) return;
-      }
-      for (int w : pattern.Predecessors(var)) {
-        if (!bound[w]) continue;
-        if (cost != nullptr) ++cost->index_probes;
-        if (!graph.HasArc(assignment[w], node)) return;
-      }
-      for (int w : pattern.Successors(var)) {
-        if (!bound[w]) continue;
-        if (cost != nullptr) ++cost->index_probes;
-        if (!graph.HasArc(node, assignment[w])) return;
-      }
-      assignment[var] = node;
-      bound[var] = true;
-      match(depth + 1);
-      bound[var] = false;
-    };
-    if (anchor >= 0) {
-      const auto candidates = anchor_is_source
-                                  ? graph.Successors(assignment[anchor])
-                                  : graph.Predecessors(assignment[anchor]);
-      for (NodeId node : candidates) try_node(node);
-    } else {
-      for (NodeId node = 0; node < graph.num_nodes(); ++node) try_node(node);
-    }
-  };
-  match(0);
-  return found;
+/// The pattern side, shared by the serial path and every reducer (the
+/// directed automorphism group is computed here, before any round runs).
+MatchPlan DirectedPlan(const DirectedSampleGraph& pattern) {
+  MatchPlan plan{ConnectedVariableOrder(pattern), {}, pattern.Automorphisms()};
+  plan.links.resize(pattern.num_vars());
+  for (const auto& [a, b] : pattern.arcs()) {
+    plan.links[b].push_back({a, kArcFromOther});
+    plan.links[a].push_back({b, kArcToOther});
+  }
+  return plan;
 }
 
 }  // namespace
@@ -93,7 +53,7 @@ uint64_t MatchDirected(const DirectedSampleGraph& pattern,
 uint64_t EnumerateDirectedInstances(const DirectedSampleGraph& pattern,
                                     const DirectedGraph& graph,
                                     InstanceSink* sink, CostCounter* cost) {
-  return MatchDirected(pattern, graph, sink, cost);
+  return MatchPattern(DirectedPlan(pattern), DirectedRows{graph}, sink, cost);
 }
 
 MapReduceMetrics DirectedBucketOrientedEnumerate(
@@ -101,10 +61,9 @@ MapReduceMetrics DirectedBucketOrientedEnumerate(
     int buckets, uint64_t seed, InstanceSink* sink,
     const ExecutionPolicy& policy, JobMetrics* job) {
   const BucketScheme scheme(buckets, pattern.num_vars(), seed);
-  // Materialize the lazily computed automorphism cache before the round:
-  // the reducers call MatchDirected concurrently, and the cache fill is not
-  // synchronized.
-  pattern.Automorphisms();
+  // Built before the round: the reducers share it read-only, and building
+  // it fills the pattern's unsynchronized automorphism cache.
+  const MatchPlan plan = DirectedPlan(pattern);
 
   // Arcs are shipped as they are: direction replaces the node order.
   auto map_fn = [&](const Arc& arc, Emitter<Arc>* out) {
@@ -123,7 +82,7 @@ MapReduceMetrics DirectedBucketOrientedEnumerate(
     // Local ids ascend with global ids, so the canonical embedding over
     // local ids is the canonical one over global ids.
     ReducerSink owned(local_to_global, context, scheme.OwnershipOf(key));
-    MatchDirected(pattern, local, &owned, context->cost);
+    MatchPattern(plan, DirectedRows{local}, &owned, context->cost);
   };
 
   JobDriver driver(policy);

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "graph/intersect.h"
+
 namespace smr {
 
 DirectedGraph::DirectedGraph(NodeId num_nodes, std::vector<Arc> arcs)
@@ -40,8 +42,14 @@ DirectedGraph::DirectedGraph(NodeId num_nodes, std::vector<Arc> arcs)
     out_nodes_[out_cursor[a.first]++] = a.second;
     in_nodes_[in_cursor[a.second]++] = a.first;
   }
-  arc_index_.reserve(arcs_.size() * 2);
-  for (const Arc& a : arcs_) arc_index_.insert(PackPair(a.first, a.second));
+}
+
+bool DirectedGraph::HasArc(NodeId u, NodeId v) const {
+  if (u == v) return false;
+  const std::span<const NodeId> out = Successors(u);
+  const std::span<const NodeId> in = Predecessors(v);
+  return out.size() <= in.size() ? ContainsSorted(out, v)
+                                 : ContainsSorted(in, u);
 }
 
 DirectedSampleGraph::DirectedSampleGraph(

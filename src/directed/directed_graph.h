@@ -4,13 +4,11 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.h"
 #include "util/combinatorics.h"
-#include "util/hashing.h"
 
 namespace smr {
 
@@ -39,9 +37,10 @@ class DirectedGraph {
             in_nodes_.data() + in_offsets_[u + 1]};
   }
 
-  bool HasArc(NodeId u, NodeId v) const {
-    return u != v && arc_index_.count(PackPair(u, v)) > 0;
-  }
+  /// Arc test over the shorter of u's sorted successor row and v's sorted
+  /// predecessor row, with the membership kernel of graph/intersect.h — the
+  /// probe Graph::HasEdge makes; no arc index is stored.
+  bool HasArc(NodeId u, NodeId v) const;
 
  private:
   NodeId num_nodes_;
@@ -50,7 +49,6 @@ class DirectedGraph {
   std::vector<NodeId> out_nodes_;
   std::vector<size_t> in_offsets_;
   std::vector<NodeId> in_nodes_;
-  std::unordered_set<uint64_t, IdHash> arc_index_;
 };
 
 /// A directed sample graph on variables 0..p-1.

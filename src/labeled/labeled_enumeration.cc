@@ -1,116 +1,66 @@
 #include "labeled/labeled_enumeration.h"
 
-#include <algorithm>
-#include <functional>
-#include <map>
+#include <span>
 
 #include "core/bucket_oriented.h"
 #include "cq/cq_evaluator.h"
+#include "cq/cq_generation.h"
 #include "graph/node_order.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "serial/matcher.h"
-#include "util/combinatorics.h"
 
 namespace smr {
 
+namespace {
+
+/// Labeled adjacency: the skeleton row holds every candidate adjacent to
+/// the bound neighbor, but only the edge test checks the link's label (the
+/// tag), so anchors are tested too.
+struct LabeledRows {
+  const LabeledGraph& graph;
+
+  static constexpr bool kRowIsEdgeTest = false;
+  NodeId num_nodes() const { return graph.num_nodes(); }
+  std::span<const NodeId> Row(PatternLink, NodeId at) const {
+    return graph.skeleton().Neighbors(at);
+  }
+  bool Holds(PatternLink link, NodeId candidate, NodeId at) const {
+    return graph.HasLabeledEdge(candidate, at,
+                                static_cast<EdgeLabel>(link.tag));
+  }
+};
+
+}  // namespace
+
 std::vector<LabeledCq> LabeledCqsForSample(const LabeledSampleGraph& pattern) {
-  const auto& automorphisms = pattern.Automorphisms();
-  const SampleGraph& skeleton = pattern.skeleton();
-  // Quotient representatives under the label-preserving group.
-  std::vector<ConjunctiveQuery> raw;
-  std::vector<int> relabeled(skeleton.num_vars());
-  for (const auto& order : AllPermutations(skeleton.num_vars())) {
-    bool smallest = true;
-    for (const auto& mu : automorphisms) {
-      for (size_t i = 0; i < order.size(); ++i) relabeled[i] = mu[order[i]];
-      if (std::lexicographical_compare(relabeled.begin(), relabeled.end(),
-                                       order.begin(), order.end())) {
-        smallest = false;
-        break;
-      }
+  // Labels are a function of the unordered pattern edge, so CQs with equal
+  // subgoals always agree on labels: merge as unlabeled, then attach them.
+  std::vector<LabeledCq> labeled;
+  for (ConjunctiveQuery& cq : MergeByOrientation(
+           GenerateOrderCqs(pattern.skeleton(), pattern.Automorphisms()))) {
+    std::vector<EdgeLabel> labels;
+    labels.reserve(cq.subgoals().size());
+    for (const auto& [a, b] : cq.subgoals()) {
+      labels.push_back(pattern.LabelOf(a, b));
     }
-    if (smallest) raw.push_back(ConjunctiveQuery::ForOrder(skeleton, order));
+    labeled.push_back(LabeledCq{std::move(cq), std::move(labels)});
   }
-  // Merge by orientation. Labels are a function of the unordered pattern
-  // edge, so CQs with equal subgoals always agree on labels.
-  std::map<std::vector<std::pair<int, int>>, size_t> index_of;
-  std::vector<LabeledCq> merged;
-  for (const ConjunctiveQuery& cq : raw) {
-    auto [it, inserted] = index_of.emplace(cq.subgoals(), merged.size());
-    if (inserted) {
-      std::vector<EdgeLabel> labels;
-      labels.reserve(cq.subgoals().size());
-      for (const auto& [a, b] : cq.subgoals()) {
-        labels.push_back(pattern.LabelOf(a, b));
-      }
-      merged.push_back(LabeledCq{cq, std::move(labels)});
-    } else {
-      merged[it->second].cq.MergeCondition(cq);
-    }
-  }
-  return merged;
+  return labeled;
 }
 
 uint64_t EnumerateLabeledInstances(const LabeledSampleGraph& pattern,
                                    const LabeledGraph& graph,
                                    InstanceSink* sink, CostCounter* cost) {
   const SampleGraph& skeleton = pattern.skeleton();
-  const int p = skeleton.num_vars();
-  const auto& automorphisms = pattern.Automorphisms();
-
-  std::vector<NodeId> assignment(p, 0);
-  std::vector<bool> bound(p, false);
-  uint64_t found = 0;
-
-  const std::vector<int> var_order = ConnectedVariableOrder(skeleton);
-
-  std::function<void(size_t)> match = [&](size_t depth) {
-    if (depth == var_order.size()) {
-      if (!IsCanonicalEmbedding(assignment, automorphisms)) return;
-      ++found;
-      if (cost != nullptr) ++cost->outputs;
-      if (sink != nullptr) sink->Emit(assignment);
-      return;
+  MatchPlan plan{ConnectedVariableOrder(skeleton), {}, pattern.Automorphisms()};
+  plan.links.resize(skeleton.num_vars());
+  for (int v = 0; v < skeleton.num_vars(); ++v) {
+    for (int w : skeleton.Neighbors(v)) {
+      plan.links[v].push_back({w, pattern.LabelOf(v, w)});
     }
-    const int var = var_order[depth];
-    int anchor = -1;
-    for (int nbr : skeleton.Neighbors(var)) {
-      if (bound[nbr]) {
-        anchor = nbr;
-        break;
-      }
-    }
-    auto try_node = [&](NodeId node) {
-      if (cost != nullptr) ++cost->candidates;
-      for (int x = 0; x < p; ++x) {
-        if (bound[x] && assignment[x] == node) return;
-      }
-      for (int nbr : skeleton.Neighbors(var)) {
-        if (!bound[nbr]) continue;
-        if (cost != nullptr) ++cost->index_probes;
-        if (!graph.HasLabeledEdge(node, assignment[nbr],
-                                  pattern.LabelOf(var, nbr))) {
-          return;
-        }
-      }
-      assignment[var] = node;
-      bound[var] = true;
-      match(depth + 1);
-      bound[var] = false;
-    };
-    if (anchor >= 0) {
-      for (NodeId node : graph.skeleton().Neighbors(assignment[anchor])) {
-        try_node(node);
-      }
-    } else {
-      for (NodeId node = 0; node < graph.num_nodes(); ++node) {
-        try_node(node);
-      }
-    }
-  };
-  match(0);
-  return found;
+  }
+  return MatchPattern(plan, LabeledRows{graph}, sink, cost);
 }
 
 MapReduceMetrics LabeledBucketOrientedEnumerate(

@@ -34,8 +34,9 @@ struct LabeledCq {
 /// count is >= the unlabeled count (Section 8's remark).
 std::vector<LabeledCq> LabeledCqsForSample(const LabeledSampleGraph& pattern);
 
-/// Ground-truth serial enumeration (backtracking + lexicographic-first over
-/// the label-preserving automorphisms).
+/// Ground-truth serial enumeration: the matcher (serial/matcher.h) on the
+/// skeleton's rows with a label test, lexicographic-first over the
+/// label-preserving automorphisms.
 uint64_t EnumerateLabeledInstances(const LabeledSampleGraph& pattern,
                                    const LabeledGraph& graph,
                                    InstanceSink* sink, CostCounter* cost);

@@ -40,10 +40,6 @@ LabeledGraph::LabeledGraph(NodeId num_nodes, std::vector<LabeledEdge> edges)
     throw std::logic_error("label/skeleton edge mismatch");
   }
   edges_ = std::move(edges);
-  label_by_edge_index_.resize(edges_.size());
-  for (size_t i = 0; i < edges_.size(); ++i) {
-    label_by_edge_index_[i] = edges_[i].label;
-  }
 }
 
 std::optional<EdgeLabel> LabeledGraph::LabelOf(NodeId u, NodeId v) const {

@@ -51,7 +51,6 @@ class LabeledGraph {
  private:
   Graph skeleton_;
   std::vector<LabeledEdge> edges_;
-  std::vector<EdgeLabel> label_by_edge_index_;  // aligned with skeleton edges
 };
 
 /// A sample graph whose edges carry required labels.

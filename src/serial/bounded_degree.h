@@ -13,11 +13,14 @@ namespace smr {
 
 /// Theorem 7.3: for a connected sample graph S with p >= 2 variables and a
 /// data graph of maximum degree Delta, enumerates all instances of S in
-/// O(m * Delta^{p-2}) time. Works by peeling non-articulation variables one
-/// at a time (so the remainder stays connected), enumerating the base edge,
-/// and re-attaching each peeled variable through the neighbor list of an
-/// already-bound neighbor. Duplicates from pattern automorphisms are
-/// suppressed with the lexicographic-first rule, as in Lemma 6.1.
+/// O(n + m * Delta^{p-2}) time. Works by peeling non-articulation variables
+/// one at a time (so the remainder stays connected) and running the matcher
+/// (serial/matcher.h) in the reverse order: the first two variables walk
+/// every node and its neighbors, i.e. every edge in both orientations, and
+/// each peeled variable re-attaches through the neighbor list of an
+/// already-bound neighbor, so it has at most Delta candidates. Duplicates
+/// from pattern automorphisms are suppressed with the lexicographic-first
+/// rule, as in Lemma 6.1.
 ///
 /// Returns the number of instances. Throws std::invalid_argument if S is
 /// not connected or has fewer than 2 variables.

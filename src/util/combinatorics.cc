@@ -57,6 +57,18 @@ std::vector<int> Inverse(const std::vector<int>& a) {
   return result;
 }
 
+bool IsLeastInOrbit(std::span<const int> order,
+                    std::span<const std::vector<int>> group) {
+  for (const auto& mu : group) {
+    for (size_t i = 0; i < order.size(); ++i) {
+      const int relabeled = mu[order[i]];
+      if (relabeled < order[i]) return false;  // a smaller order exists
+      if (relabeled > order[i]) break;         // this mu relabels larger
+    }
+  }
+  return true;
+}
+
 namespace {
 
 void NondecreasingRec(int base, int length, int low, std::vector<int>* cur,

@@ -2,6 +2,7 @@
 #define SMR_UTIL_COMBINATORICS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace smr {
@@ -27,6 +28,13 @@ std::vector<int> Compose(const std::vector<int>& a, const std::vector<int>& b);
 
 /// Inverse permutation: result[a[i]] = i.
 std::vector<int> Inverse(const std::vector<int>& a);
+
+/// The representative rule of a quotient Sym(p) / G (Section 3.2): true iff
+/// `order` is lexicographically no greater than its relabeling
+/// (mu[order[0]], ..., mu[order[p-1]]) by every mu in `group`, i.e. the
+/// least order of its orbit.
+bool IsLeastInOrbit(std::span<const int> order,
+                    std::span<const std::vector<int>> group);
 
 /// All sequences of `length` integers drawn from [0, base) that are
 /// nondecreasing. There are C(base + length - 1, length) of them

@@ -1,3 +1,6 @@
+#include <map>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/plan_advisor.h"
@@ -199,6 +202,12 @@ TEST(CostCalibration, FlipsTheAutoStrategysPick) {
   const CalibrationReset reset;
   const SampleGraph pattern = SampleGraph::Triangle();
   const Graph graph = ErdosRenyi(200, 800, 5);
+  // The plan text's name for each spec auto:<k> can run.
+  const std::map<std::string, std::string> plan_name = {
+      {"bucket", "bucket-oriented"},
+      {"variable-auto", "variable-oriented"},
+      {"tworound", "two-round"},
+      {"census", "census"}};
 
   const auto resolved_by_auto = [&]() {
     CountingSink sink;
@@ -206,7 +215,12 @@ TEST(CostCalibration, FlipsTheAutoStrategysPick) {
         EnumerationQuery::Undirected(pattern, graph)
             .WithStrategy("auto:500")
             .WithSink(&sink));
-    return result.resolved_spec.name;
+    // The plan auto:<k> prints must name the plan it ran.
+    const std::string& name = result.resolved_spec.name;
+    EXPECT_EQ(result.plan.rfind("recommended=" + plan_name.at(name) + " ", 0),
+              0u)
+        << "ran " << name << ", plan says " << result.plan;
+    return name;
   };
 
   const std::string baseline = resolved_by_auto();

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bucket_oriented.h"
+#include "core/strategy.h"
 #include "core/triangle_algorithms.h"
 #include "directed/directed_enumeration.h"
 #include "directed/directed_graph.h"
@@ -212,6 +213,19 @@ TEST(ReducerKey, BucketOrientedRejectsOverflowingKeySpace) {
        [&] {
          DirectedBucketOrientedEnumerate(directed_path, directed_graph, 500, 1,
                                          nullptr);
+       }},
+      // The registry's `bucket` must validate b before it generates the
+      // pattern's CQ set (30! orders for the path).
+      {"registry bucket",
+       [&](int b) {
+         StrategyRegistry::Global().Run(
+             EnumerationQuery::Undirected(triangle, graph)
+                 .WithSpec({"bucket", {TunableValue::Int(b)}}));
+       },
+       [&] {
+         StrategyRegistry::Global().Run(
+             EnumerationQuery::Undirected(path, graph).WithStrategy(
+                 "bucket:500"));
        }},
   };
   for (int b : {0, -1}) {
