@@ -6,7 +6,8 @@
 //    sum_v C(deg(v), p-1),
 //  * the instrumented operation count of the bounded-degree algorithm,
 //    whose growth with Delta should track Delta^{p-2},
-//  * a comparison against the generic matcher on degree-capped graphs.
+//  * the same ratio for squares on degree-capped random graphs, whose
+//    counts are checked against the reference matcher (exit 1 if not).
 
 #include <cmath>
 #include <cstdio>
@@ -19,7 +20,7 @@
 namespace smr {
 namespace {
 
-void Run() {
+bool Run() {
   std::printf(
       "Theorem 7.3 tightness: p-stars in Delta-regular trees\n"
       "(count ~ m * Delta^{p-2}; ops of the bounded-degree algorithm track "
@@ -49,33 +50,31 @@ void Run() {
   }
 
   std::printf(
-      "\nbounded-degree vs generic matcher on degree-capped random graphs\n"
-      "(pattern: square; ops should be comparable, counts identical)\n\n");
-  std::printf("%6s %8s %12s %14s %14s\n", "Delta", "m", "squares",
-              "bounded ops", "generic ops");
+      "\nsquares on degree-capped random graphs (p = 4): ops against the\n"
+      "Theorem 7.3 bound; counts checked against the reference matcher\n\n");
+  std::printf("%6s %8s %12s %14s %10s\n", "Delta", "m", "squares", "ops",
+              "ops/mD^2");
+  bool agree = true;
   for (size_t delta : {4, 8, 16}) {
     const Graph g = DegreeCapped(3000, 6000, delta, 11);
-    CostCounter bounded_cost;
-    CountingSink bounded_sink;
-    EnumerateBoundedDegree(SampleGraph::Square(), g, &bounded_sink,
-                           &bounded_cost);
-    CostCounter generic_cost;
-    CountingSink generic_sink;
-    EnumerateInstances(SampleGraph::Square(), g, &generic_sink,
-                       &generic_cost);
-    std::printf("%6zu %8zu %12llu %14llu %14llu%s\n", delta, g.num_edges(),
-                static_cast<unsigned long long>(bounded_sink.count()),
-                static_cast<unsigned long long>(bounded_cost.Total()),
-                static_cast<unsigned long long>(generic_cost.Total()),
-                bounded_sink.count() == generic_sink.count() ? ""
-                                                             : "  MISMATCH");
+    CostCounter cost;
+    CountingSink sink;
+    EnumerateBoundedDegree(SampleGraph::Square(), g, &sink, &cost);
+    CountingSink reference;
+    EnumerateInstances(SampleGraph::Square(), g, &reference, nullptr);
+    const double bound = static_cast<double>(g.num_edges()) *
+                         std::pow(static_cast<double>(g.MaxDegree()), 2);
+    std::printf("%6zu %8zu %12llu %14llu %10.2f%s\n", g.MaxDegree(),
+                g.num_edges(), static_cast<unsigned long long>(sink.count()),
+                static_cast<unsigned long long>(cost.Total()),
+                static_cast<double>(cost.Total()) / bound,
+                sink.count() == reference.count() ? "" : "  MISMATCH");
+    agree &= sink.count() == reference.count();
   }
+  return agree;
 }
 
 }  // namespace
 }  // namespace smr
 
-int main() {
-  smr::Run();
-  return 0;
-}
+int main() { return smr::Run() ? 0 : 1; }

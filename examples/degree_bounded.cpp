@@ -6,6 +6,7 @@
 //
 // Run: ./build/examples/degree_bounded  (exits 1 if the counts disagree)
 
+#include <cmath>
 #include <cstdio>
 
 #include "graph/generators.h"
@@ -14,23 +15,28 @@
 
 namespace {
 
-// Prints one row; returns false when the two matchers disagree.
+// Prints one row: the bounded-degree kernel's operation count against the
+// Theorem 7.3 bound m * Delta^{p-2}. Returns false when its instance count
+// disagrees with the reference matcher's.
 bool Report(const char* label, const smr::Graph& graph,
             const smr::SampleGraph& pattern, const char* pattern_name) {
-  smr::CostCounter bounded_cost;
+  smr::CostCounter cost;
   smr::CountingSink bounded;
-  smr::EnumerateBoundedDegree(pattern, graph, &bounded, &bounded_cost);
-  smr::CostCounter generic_cost;
-  smr::CountingSink generic;
-  smr::EnumerateInstances(pattern, graph, &generic, &generic_cost);
-  std::printf("%-22s %-12s Delta=%-3zu count=%-8llu bounded_ops=%-10llu "
-              "generic_ops=%-10llu %s\n",
+  smr::EnumerateBoundedDegree(pattern, graph, &bounded, &cost);
+  smr::CountingSink reference;
+  smr::EnumerateInstances(pattern, graph, &reference, nullptr);
+  const double bound =
+      static_cast<double>(graph.num_edges()) *
+      std::pow(static_cast<double>(graph.MaxDegree()), pattern.num_vars() - 2);
+  const bool agree = bounded.count() == reference.count();
+  std::printf("%-18s %-9s Delta=%-3zu count=%-8llu ops=%-9llu "
+              "m*Delta^(p-2)=%-9.0f ops/bound=%.2f %s\n",
               label, pattern_name, graph.MaxDegree(),
               static_cast<unsigned long long>(bounded.count()),
-              static_cast<unsigned long long>(bounded_cost.Total()),
-              static_cast<unsigned long long>(generic_cost.Total()),
-              bounded.count() == generic.count() ? "" : "MISMATCH");
-  return bounded.count() == generic.count();
+              static_cast<unsigned long long>(cost.Total()), bound,
+              static_cast<double>(cost.Total()) / bound,
+              agree ? "" : "MISMATCH");
+  return agree;
 }
 
 }  // namespace
@@ -60,8 +66,8 @@ int main() {
                   "path-4");
 
   std::printf(
-      "\nthe bounded-degree kernel's operation count scales with\n"
-      "m * Delta^{p-2} (Theorem 7.3), so it stays fast on meshes and\n"
-      "sensor networks where the generic matcher has no degree guarantee.\n");
+      "\nops/bound stays a small constant: the bounded-degree kernel's work\n"
+      "is O(m * Delta^{p-2}) (Theorem 7.3), so it stays fast on meshes and\n"
+      "sensor networks. Counts are checked against the reference matcher.\n");
   return agree ? 0 : 1;
 }

@@ -6,7 +6,6 @@
 
 #include "cq/cq_evaluator.h"
 #include "graph/node_order.h"
-#include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "util/combinatorics.h"
 #include "util/hashing.h"
@@ -71,16 +70,14 @@ MapReduceMetrics BucketOrientedEnumerate(
                           [&](uint64_t key) { out->Emit(key, oriented); });
   };
 
+  const CqReducer reducer(cqs, &order);
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
-    const Subgraph local = BuildSubgraph(values);
+    const CqReducer::Local local = reducer.Build(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    const CqEvaluator evaluator(local.graph, local_order);
-    ReducerSink owned(local.local_to_global, context,
+    ReducerSink owned(local.local_to_global(), context,
                       scheme.OwnershipOf(key));
-    evaluator.EvaluateAll(cqs, &owned, context->cost);
+    local.EvaluateAll(&owned, context->cost);
   };
 
   JobDriver driver(policy);
@@ -124,18 +121,18 @@ MapReduceMetrics GeneralizedPartitionEnumerate(
         });
   };
 
+  // Edges travel as stored, smaller id first: the node order is by id.
+  const CqReducer reducer(cqs, nullptr);
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::vector<int> own = UnrankSubset(key, b, p);
-    const Subgraph local = BuildSubgraph(values);
+    const CqReducer::Local local = reducer.Build(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order = NodeOrder::Identity(local.graph.num_nodes());
-    const CqEvaluator evaluator(local.graph, local_order);
-    ReducerSink owned(local.local_to_global, context,
+    ReducerSink owned(local.local_to_global(), context,
                       [&](std::span<const NodeId> global) {
                         return CanonicalGroupSubset(hasher, global, p) == own;
                       });
-    evaluator.EvaluateAll(cqs, &owned, context->cost);
+    local.EvaluateAll(&owned, context->cost);
   };
 
   JobDriver driver(policy);

@@ -121,8 +121,8 @@ struct KeepAll {
 template <typename Owns, typename Keep = KeepAll>
 class ReducerSink final : public InstanceSink {
  public:
-  ReducerSink(const std::vector<NodeId>& local_to_global,
-              ReduceContext* context, Owns owns, Keep keep = {})
+  ReducerSink(std::span<const NodeId> local_to_global, ReduceContext* context,
+              Owns owns, Keep keep = {})
       : local_to_global_(local_to_global),
         context_(context),
         owns_(std::move(owns)),
@@ -139,7 +139,7 @@ class ReducerSink final : public InstanceSink {
   }
 
  private:
-  const std::vector<NodeId>& local_to_global_;
+  std::span<const NodeId> local_to_global_;
   ReduceContext* context_;
   Owns owns_;
   Keep keep_;
@@ -149,7 +149,7 @@ class ReducerSink final : public InstanceSink {
 /// Bucket-oriented processing (Section 4.5) for an arbitrary sample graph S
 /// with p nodes on the BucketScheme above, with nodes ordered by
 /// (bucket, id) as in Section 2.3. Each reducer evaluates the whole CQ set
-/// for S (Section 3) on its local subgraph.
+/// for S (Section 3) on its local subgraph, through CqReducer.
 ///
 /// `cqs` must be the CQ set for `pattern` (from CqsForSample); it is taken
 /// as a parameter so callers can reuse it across runs. If `job` is

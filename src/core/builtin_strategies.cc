@@ -28,7 +28,6 @@
 #include "labeled/labeled_graph.h"
 #include "serial/matcher.h"
 #include "shares/cost_expression.h"
-#include "shares/replication_formulas.h"
 #include "shares/share_optimizer.h"
 
 namespace smr {
@@ -67,8 +66,7 @@ TunableDecl ListTunable(std::string name, std::string doc) {
 }
 
 /// Boilerplate holder: name/description/capabilities/tunables as plain
-/// constructor data, so concrete strategies only write Run (and, when they
-/// have a closed form, EstimateCostPerEdge).
+/// constructor data, so concrete strategies only write Run.
 class BuiltinStrategy : public Strategy {
  public:
   BuiltinStrategy(std::string name, std::string description,
@@ -178,13 +176,6 @@ class BucketStrategy : public BuiltinStrategy {
             UndirectedCaps(),
             {IntTunable("b", "buckets per variable", 8, 1)}) {}
 
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return static_cast<double>(BucketOrientedEdgeReplication(
-        static_cast<int>(query.spec.values[0].int_value),
-        query.pattern->num_vars()));
-  }
-
   EnumerationResult Run(const EnumerationQuery& query) const override {
     const int buckets = static_cast<int>(query.spec.values[0].int_value);
     // Reject a key space past 64 bits before generating the p! orders.
@@ -210,19 +201,6 @@ class VariableStrategy : public BuiltinStrategy {
             {ListTunable("shares",
                          "one share per variable, s1xs2x...xsp; empty = "
                          "optimizer shares at k=256")}) {}
-
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    std::optional<std::vector<ConjunctiveQuery>> storage;
-    const auto& cqs = ResolveCqs(query, storage);
-    const CostExpression expression = CostExpression::ForCqSet(cqs);
-    const std::vector<int>& shares = query.spec.values[0].list_value;
-    if (shares.empty()) {
-      return OptimizeShares(expression, kDefaultBudget).cost_per_edge;
-    }
-    const std::vector<double> as_double(shares.begin(), shares.end());
-    return expression.CostPerEdge(as_double);
-  }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
     std::optional<std::vector<ConjunctiveQuery>> storage;
@@ -255,15 +233,6 @@ class VariableAutoStrategy : public BuiltinStrategy {
             UndirectedCaps(),
             {DoubleTunable("k", "reducer budget", 256, 1)}) {}
 
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    std::optional<std::vector<ConjunctiveQuery>> storage;
-    const auto& cqs = ResolveCqs(query, storage);
-    return OptimizeShares(CostExpression::ForCqSet(cqs),
-                          query.spec.values[0].double_value)
-        .cost_per_edge;
-  }
-
   EnumerationResult Run(const EnumerationQuery& query) const override {
     std::optional<std::vector<ConjunctiveQuery>> storage;
     const auto& cqs = ResolveCqs(query, storage);
@@ -291,12 +260,6 @@ class PartitionStrategy : public BuiltinStrategy {
             "~3b/2 replication, canonical-triple dedup",
             TriangleCaps(), {IntTunable("b", "node groups", 8, 3)}) {}
 
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return PartitionTriangleReplication(
-        static_cast<int>(query.spec.values[0].int_value));
-  }
-
   EnumerationResult Run(const EnumerationQuery& query) const override {
     JobMetrics job;
     const MapReduceMetrics metrics = PartitionTriangles(
@@ -314,12 +277,6 @@ class MultiwayStrategy : public BuiltinStrategy {
             "multiway join E|><|E|><|E (Sec. 2.2): b^3 reducers, 3b-2 "
             "replication per edge",
             TriangleCaps(), {IntTunable("b", "buckets per variable", 4, 1)}) {
-  }
-
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return MultiwayTriangleReplication(
-        static_cast<int>(query.spec.values[0].int_value));
   }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
@@ -340,12 +297,6 @@ class OrderedBucketStrategy : public BuiltinStrategy {
             "replication per edge",
             TriangleCaps(), {IntTunable("b", "buckets", 8, 1)}) {}
 
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return OrderedBucketTriangleReplication(
-        static_cast<int>(query.spec.values[0].int_value));
-  }
-
   EnumerationResult Run(const EnumerationQuery& query) const override {
     JobMetrics job;
     const MapReduceMetrics metrics = OrderedBucketTriangles(
@@ -363,12 +314,6 @@ class TwoRoundStrategy : public BuiltinStrategy {
             "two-round MR node-iterator [19]: 2-paths then closing-edge "
             "join; cheap on sparse graphs, one extra barrier",
             TriangleCaps(), {}) {}
-
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return TwoRoundCostPerEdge(query.graph->num_edges(),
-                               CountOrderedWedges(*query.graph));
-  }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
     const TwoRoundMetrics two_round =
@@ -396,13 +341,6 @@ class CensusStrategy : public BuiltinStrategy {
               return caps;
             }(),
             {}) {}
-
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return CensusCostPerEdge(query.graph->num_nodes(),
-                             query.graph->num_edges(),
-                             CountOrderedWedges(*query.graph));
-  }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
     TriangleCensusResult census = TriangleCensus(
@@ -441,13 +379,6 @@ class LabeledStrategy : public BuiltinStrategy {
             }(),
             {IntTunable("b", "buckets per variable", 8, 1)}) {}
 
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return static_cast<double>(BucketOrientedEdgeReplication(
-        static_cast<int>(query.spec.values[0].int_value),
-        query.labeled_pattern->num_vars()));
-  }
-
   EnumerationResult Run(const EnumerationQuery& query) const override {
     JobMetrics job;
     const MapReduceMetrics metrics = LabeledBucketOrientedEnumerate(
@@ -471,13 +402,6 @@ class DirectedStrategy : public BuiltinStrategy {
               return caps;
             }(),
             {IntTunable("b", "buckets per variable", 8, 1)}) {}
-
-  std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const override {
-    return static_cast<double>(BucketOrientedEdgeReplication(
-        static_cast<int>(query.spec.values[0].int_value),
-        query.directed_pattern->num_vars()));
-  }
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
     JobMetrics job;

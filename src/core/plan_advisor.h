@@ -139,9 +139,7 @@ class CostCalibration {
   std::map<std::string, double> measured_;
 };
 
-/// The closed forms the advisor and the strategies' EstimateCostPerEdge
-/// hooks share, so a plan comparison and a strategy's self-assessment can
-/// never diverge.
+/// The closed forms the advisor prices its plans with.
 
 /// Largest bucket count b whose bucket-oriented reducer space
 /// C(b+p-1, p) fits in budget k.

@@ -179,11 +179,6 @@ EnumerationQuery& EnumerationQuery::WithSink(InstanceSink* s) {
 // Strategy
 // ---------------------------------------------------------------------------
 
-std::optional<double> Strategy::EstimateCostPerEdge(
-    const EnumerationQuery&) const {
-  return std::nullopt;
-}
-
 StrategySpec Strategy::ResolveSpec(StrategySpec spec) const {
   const std::vector<TunableDecl>& decls = tunables();
   if (spec.values.size() > decls.size()) {

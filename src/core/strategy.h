@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -206,15 +205,6 @@ class Strategy {
   virtual const std::string& description() const = 0;
   virtual const StrategyCapabilities& capabilities() const = 0;
   virtual const std::vector<TunableDecl>& tunables() const = 0;
-
-  /// Closed-form communication estimate (key-value pairs per data edge)
-  /// for `query`'s resolved spec. Built-ins share the exact closed forms
-  /// that PlanEnumeration prices and prints (core/plan_advisor.h), whose
-  /// pick `auto:<k>` runs. No enumeration happens here; at most an O(n + m)
-  /// statistics pass. nullopt when the strategy has no meaningful
-  /// per-edge cost (serial).
-  virtual std::optional<double> EstimateCostPerEdge(
-      const EnumerationQuery& query) const;
 
   /// Runs the strategy. `query.spec` is already resolved (defaults filled,
   /// bounds checked) by the registry.

@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "core/bucket_oriented.h"
+#include "cq/cq_evaluator.h"
+#include "cq/cq_generation.h"
 #include "graph/node_order.h"
-#include "graph/subgraph.h"
 #include "mapreduce/job.h"
-#include "serial/triangles.h"
 #include "util/combinatorics.h"
 #include "util/hashing.h"
 
@@ -115,15 +115,16 @@ MapReduceMetrics OrderedBucketTriangles(const Graph& graph, int buckets,
                           [&](uint64_t key) { out->Emit(key, oriented); });
   };
 
+  const std::vector<ConjunctiveQuery> cqs =
+      CqsForSample(SampleGraph::Triangle());
+  const CqReducer reducer(cqs, &order);
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
-    const Subgraph local = BuildSubgraph(values);
+    const CqReducer::Local local = reducer.Build(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    ReducerSink owned(local.local_to_global, context,
+    ReducerSink owned(local.local_to_global(), context,
                       scheme.OwnershipOf(key));
-    EnumerateTriangles(local.graph, local_order, &owned, context->cost);
+    local.EvaluateAll(&owned, context->cost);
   };
 
   JobDriver driver(policy);
@@ -156,19 +157,22 @@ MapReduceMetrics PartitionTriangles(const Graph& graph, int num_groups,
         });
   };
 
+  // Edges travel as stored, smaller id first: the node order is by id.
+  const std::vector<ConjunctiveQuery> cqs =
+      CqsForSample(SampleGraph::Triangle());
+  const CqReducer reducer(cqs, nullptr);
   auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
     const std::vector<int> own = UnrankSubset(key, b, 3);
-    const Subgraph local = BuildSubgraph(values);
+    const CqReducer::Local local = reducer.Build(values);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order = NodeOrder::Identity(local.graph.num_nodes());
     // De-duplication: the triangle's distinct groups lie in several
     // reducer triples; only the canonical one emits it.
-    ReducerSink owned(local.local_to_global, context,
+    ReducerSink owned(local.local_to_global(), context,
                       [&](std::span<const NodeId> global) {
                         return CanonicalGroupSubset(hasher, global, 3) == own;
                       });
-    EnumerateTriangles(local.graph, local_order, &owned, context->cost);
+    local.EvaluateAll(&owned, context->cost);
   };
 
   JobDriver driver(policy);

@@ -75,6 +75,42 @@ std::vector<std::vector<int>> DirectedCycleAutomorphisms(
   return result;
 }
 
+/// Calls `fn` on every total order of the p variables (order[i] = the
+/// variable in position i) in which each subgoal (a, b) puts a before b,
+/// in lexicographic order: depth first, placing the smallest variable whose
+/// predecessors are all placed first. Only the extensions are visited, not
+/// all p! orders.
+template <typename Fn>
+void ForEachLinearExtension(int p,
+                            const std::vector<std::pair<int, int>>& subgoals,
+                            Fn&& fn) {
+  std::vector<int> unplaced_before(p, 0);
+  std::vector<std::vector<int>> after(p);
+  for (const auto& [a, b] : subgoals) {
+    ++unplaced_before[b];
+    after[a].push_back(b);
+  }
+  std::vector<int> order;
+  std::vector<bool> placed(p, false);
+  auto extend = [&](auto&& self) -> void {
+    if (static_cast<int>(order.size()) == p) {
+      fn(order);
+      return;
+    }
+    for (int v = 0; v < p; ++v) {
+      if (placed[v] || unplaced_before[v] > 0) continue;
+      placed[v] = true;
+      order.push_back(v);
+      for (const int w : after[v]) --unplaced_before[w];
+      self(self);
+      for (const int w : after[v]) ++unplaced_before[w];
+      order.pop_back();
+      placed[v] = false;
+    }
+  };
+  extend(extend);
+}
+
 }  // namespace
 
 std::vector<RunSequenceCq> CycleCqs(int p) {
@@ -125,19 +161,9 @@ std::vector<RunSequenceCq> CycleCqs(int p) {
       // only X2 < Xp; periodicity keeps X1 minimal among period starts.
       const auto automorphisms = DirectedCycleAutomorphisms(p, subgoals);
       std::vector<std::vector<int>> allowed;
-      for (const auto& order : AllPermutations(p)) {
-        const std::vector<int> position = Inverse(order);
-        bool consistent = true;
-        for (const auto& [a, b] : subgoals) {
-          if (position[a] >= position[b]) {
-            consistent = false;
-            break;
-          }
-        }
-        if (consistent && IsLeastInOrbit(order, automorphisms)) {
-          allowed.push_back(order);
-        }
-      }
+      ForEachLinearExtension(p, subgoals, [&](const std::vector<int>& order) {
+        if (IsLeastInOrbit(order, automorphisms)) allowed.push_back(order);
+      });
       result.push_back(RunSequenceCq{runs, orientation, palindrome,
                                      periodicity,
                                      ConjunctiveQuery(p, subgoals, allowed)});

@@ -7,6 +7,7 @@
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "serial/matcher.h"
+#include "util/scratch_pool.h"
 
 namespace smr {
 
@@ -71,17 +72,21 @@ MapReduceMetrics DirectedBucketOrientedEnumerate(
                           [&](uint64_t key) { out->Emit(key, arc); });
   };
 
+  // The relabel step of the undirected reducers (CqReducer), by node id.
+  ScratchPool<LocalGraph> relabel;
   auto reduce_fn = [&](uint64_t key, std::span<const Arc> values,
                        ReduceContext* context) {
-    std::vector<Arc> local_arcs;
-    const std::vector<NodeId> local_to_global =
-        RelabelDensely(values, &local_arcs);
+    const ScratchPool<LocalGraph>::Lease scratch = relabel.Acquire();
+    scratch->Relabel(values, nullptr);
     context->cost->edges_scanned += values.size();
-    const DirectedGraph local(static_cast<NodeId>(local_to_global.size()),
-                              std::move(local_arcs));
+    const DirectedGraph local(
+        scratch->num_nodes(),
+        std::vector<Arc>(scratch->local_edges().begin(),
+                         scratch->local_edges().end()));
     // Local ids ascend with global ids, so the canonical embedding over
     // local ids is the canonical one over global ids.
-    ReducerSink owned(local_to_global, context, scheme.OwnershipOf(key));
+    ReducerSink owned(scratch->local_to_global(), context,
+                      scheme.OwnershipOf(key));
     MatchPattern(plan, DirectedRows{local}, &owned, context->cost);
   };
 

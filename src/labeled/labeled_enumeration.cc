@@ -6,7 +6,6 @@
 #include "cq/cq_evaluator.h"
 #include "cq/cq_generation.h"
 #include "graph/node_order.h"
-#include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "serial/matcher.h"
 
@@ -79,21 +78,22 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
                           [&](uint64_t key) { out->Emit(key, value); });
   };
 
+  std::vector<ConjunctiveQuery> structural;
+  for (const LabeledCq& lcq : cqs) structural.push_back(lcq.cq);
+  const CqReducer reducer(structural, &order);
+
   auto reduce_fn = [&](uint64_t key, std::span<const LabeledEdge> values,
                        ReduceContext* context) {
     std::vector<Edge> skeleton_edges;
     skeleton_edges.reserve(values.size());
     for (const auto& e : values) skeleton_edges.emplace_back(e.u, e.v);
-    const Subgraph local = BuildSubgraph(skeleton_edges);
+    const CqReducer::Local local = reducer.Build(skeleton_edges);
     context->cost->edges_scanned += values.size();
-    const NodeOrder local_order =
-        NodeOrder::Project(order, local.local_to_global);
-    const CqEvaluator evaluator(local.graph, local_order);
 
     // The structural CQ runs on the skeleton; the label selection happens
     // on the solution's global ids.
     const LabeledCq* current = nullptr;
-    ReducerSink owned(local.local_to_global, context, scheme.OwnershipOf(key),
+    ReducerSink owned(local.local_to_global(), context, scheme.OwnershipOf(key),
                       [&](std::span<const NodeId> global) {
                         const auto& subgoals = current->cq.subgoals();
                         for (size_t s = 0; s < subgoals.size(); ++s) {
@@ -105,9 +105,9 @@ MapReduceMetrics LabeledBucketOrientedEnumerate(
                         }
                         return true;
                       });
-    for (const LabeledCq& lcq : cqs) {
-      current = &lcq;
-      evaluator.Evaluate(lcq.cq, &owned, context->cost);
+    for (size_t i = 0; i < cqs.size(); ++i) {
+      current = &cqs[i];
+      local.Evaluate(i, &owned, context->cost);
     }
   };
 

@@ -54,6 +54,76 @@ TEST(CycleCqs, CountMatchesBurnsideFormula) {
   }
 }
 
+TEST(CycleCqs, AllowedOrdersAreTheLeastLinearExtensions) {
+  // The definition the conditions implement, by brute force over all p!
+  // orders: the orders consistent with every subgoal that are least in
+  // their orbit under the oriented cycle's automorphisms.
+  for (int p = 3; p <= 8; ++p) {
+    for (const auto& entry : CycleCqs(p)) {
+      const auto& subgoals = entry.cq.subgoals();
+      std::set<std::pair<int, int>> arcs(subgoals.begin(), subgoals.end());
+      std::vector<std::vector<int>> automorphisms;
+      for (const auto& g : AllPermutations(p)) {
+        bool keeps = true;
+        for (const auto& [a, b] : subgoals) keeps &= arcs.count({g[a], g[b]}) > 0;
+        if (keeps) automorphisms.push_back(g);
+      }
+      std::vector<std::vector<int>> expected;
+      for (const auto& order : AllPermutations(p)) {
+        const std::vector<int> position = Inverse(order);
+        bool consistent = true;
+        for (const auto& [a, b] : subgoals) {
+          consistent &= position[a] < position[b];
+        }
+        if (consistent && IsLeastInOrbit(order, automorphisms)) {
+          expected.push_back(order);
+        }
+      }
+      EXPECT_EQ(entry.cq.allowed_orders(), expected)
+          << "p=" << p << " " << entry.orientation;
+    }
+  }
+}
+
+TEST(CycleCqs, ConditionsPinnedThroughP10) {
+  // Digest of every CQ's subgoals and admissible orders, and the orders'
+  // count ((p-1)!/2: each p-cycle of K_p once), as the all-permutations
+  // construction produced them.
+  struct Pin {
+    int p;
+    uint64_t orders;
+    uint64_t digest;
+  };
+  const Pin pins[] = {
+      {3, 1u, 0x8734e8bf6dc46ebdull},      {4, 3u, 0xd7949765fa1eda64ull},
+      {5, 12u, 0xd92e26643a207207ull},     {6, 60u, 0x193bbe8384f90369ull},
+      {7, 360u, 0xdfd586eb27631a9dull},    {8, 2520u, 0x9cd66c92d22f27c7ull},
+      {9, 20160u, 0x6e78db2a4157e477ull},  {10, 181440u, 0xb12337ca2d1238efull},
+  };
+  for (const Pin& pin : pins) {
+    uint64_t digest = 1469598103934665603ull;  // FNV-1a
+    auto mix = [&digest](uint64_t v) {
+      digest ^= v;
+      digest *= 1099511628211ull;
+    };
+    uint64_t orders = 0;
+    for (const auto& entry : CycleCqs(pin.p)) {
+      for (const auto& [a, b] : entry.cq.subgoals()) {
+        mix(a);
+        mix(b);
+      }
+      for (const auto& order : entry.cq.allowed_orders()) {
+        ++orders;
+        for (const int v : order) mix(v);
+        mix(0xff);
+      }
+      mix(0xfe);
+    }
+    EXPECT_EQ(orders, pin.orders) << "p=" << pin.p;
+    EXPECT_EQ(digest, pin.digest) << "p=" << pin.p;
+  }
+}
+
 TEST(CycleCqs, ConditionalUpperBoundIsExactForPrimes) {
   for (int p : {3, 5, 7, 11, 13}) {
     EXPECT_DOUBLE_EQ(CycleCqConditionalUpperBound(p),

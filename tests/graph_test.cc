@@ -74,15 +74,43 @@ TEST(NodeOrder, ByBucketGroupsBuckets) {
   }
 }
 
-TEST(NodeOrder, ProjectPreservesRelativeOrder) {
-  Graph g(6, {{0, 5}, {2, 4}});
+TEST(LocalGraph, LocalIdsFollowGlobalRanks) {
+  // Global reversed order: 5 < 4 < 2 < 0, so local ids 0..3 are nodes
+  // 5, 4, 2, 0, and each edge must arrive oriented the same way.
   const NodeOrder global = NodeOrder::Identity(6).Reversed();
-  const std::vector<NodeId> locals = {0, 2, 4, 5};
-  const NodeOrder projected = NodeOrder::Project(global, locals);
-  // Global reversed order: 5 < 4 < 2 < 0; locals are indices into `locals`.
-  EXPECT_TRUE(projected.Less(3, 2));  // node 5 before node 4
-  EXPECT_TRUE(projected.Less(2, 1));  // node 4 before node 2
-  EXPECT_TRUE(projected.Less(1, 0));  // node 2 before node 0
+  const std::vector<Edge> oriented = {{5, 0}, {4, 2}, {5, 4}, {2, 0}};
+  LocalGraph local;
+  local.Build(oriented, &global, /*with_predecessors=*/true);
+  EXPECT_EQ(std::vector<NodeId>(local.local_to_global().begin(),
+                                local.local_to_global().end()),
+            (std::vector<NodeId>{5, 4, 2, 0}));
+  EXPECT_EQ(local.num_edges(), 4u);
+  auto row = [](std::span<const NodeId> r) {
+    return std::vector<NodeId>(r.begin(), r.end());
+  };
+  EXPECT_EQ(row(local.Successors(0)), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(row(local.Successors(1)), (std::vector<NodeId>{2}));
+  EXPECT_EQ(row(local.Successors(2)), (std::vector<NodeId>{3}));
+  EXPECT_EQ(row(local.Successors(3)), (std::vector<NodeId>{}));
+  EXPECT_EQ(row(local.Predecessors(3)), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(local.max_row(), 2u);
+}
+
+TEST(LocalGraph, ScratchIsReusedAcrossBuilds) {
+  // One LocalGraph serves every reducer of a worker: a build must not see
+  // the previous build's nodes.
+  LocalGraph local;
+  local.Build(std::vector<Edge>{{1, 7}, {7, 9}, {1, 9}}, nullptr, false);
+  EXPECT_EQ(local.num_nodes(), 3u);
+  local.Build(std::vector<Edge>{{3, 7}}, nullptr, false);
+  EXPECT_EQ(local.num_nodes(), 2u);
+  EXPECT_EQ(std::vector<NodeId>(local.local_to_global().begin(),
+                                local.local_to_global().end()),
+            (std::vector<NodeId>{3, 7}));
+  EXPECT_EQ(local.Successors(0).size(), 1u);
+  // Nodes on no edge below `all_nodes` stay placeable.
+  local.Build(std::vector<Edge>{{3, 7}}, nullptr, false, 5);
+  EXPECT_EQ(local.num_nodes(), 6u);
 }
 
 TEST(OrientedAdjacency, SuccessorsRespectOrder) {
