@@ -81,8 +81,8 @@ void AblationPartitionDuplicates() {
   std::printf("  %4s %20s %18s\n", "b", "partition dup rate",
               "ordered dup rate");
   for (int b : {4, 8, 16}) {
-    // The reducer kernels count every local triangle discovery in
-    // reduce_cost.outputs (via the serial enumerator) and every *emitted*
+    // The reducers count every local triangle discovery in
+    // reduce_cost.outputs (via the CQ join, CqReducer) and every *emitted*
     // triangle once more (via EmitInstance); so
     //   local discoveries = reduce_cost.outputs - outputs.
     const auto partition = PartitionTriangles(g, b, 2, nullptr);

@@ -18,6 +18,7 @@
 #include "core/triangle_census.h"
 #include "core/two_round_triangles.h"
 #include "core/variable_oriented.h"
+#include "cq/cq_evaluator.h"
 #include "cq/cq_generation.h"
 #include "directed/directed_enumeration.h"
 #include "directed/directed_graph.h"
@@ -203,6 +204,8 @@ class VariableStrategy : public BuiltinStrategy {
                          "optimizer shares at k=256")}) {}
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
+    RequireEveryVariableOnAnEdge(query.pattern->num_vars(),
+                                 query.pattern->edges());
     std::optional<std::vector<ConjunctiveQuery>> storage;
     const auto& cqs = ResolveCqs(query, storage);
     std::vector<int> shares = query.spec.values[0].list_value;
@@ -234,6 +237,10 @@ class VariableAutoStrategy : public BuiltinStrategy {
             {DoubleTunable("k", "reducer budget", 256, 1)}) {}
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
+    // Before the optimizer, whose shares for such a pattern overflow the
+    // reducer key space.
+    RequireEveryVariableOnAnEdge(query.pattern->num_vars(),
+                                 query.pattern->edges());
     std::optional<std::vector<ConjunctiveQuery>> storage;
     const auto& cqs = ResolveCqs(query, storage);
     const ShareSolution solution =
@@ -429,6 +436,8 @@ class AutoStrategy : public BuiltinStrategy {
             {DoubleTunable("k", "reducer budget", 256, 1)}) {}
 
   EnumerationResult Run(const EnumerationQuery& query) const override {
+    RequireEveryVariableOnAnEdge(query.pattern->num_vars(),
+                                 query.pattern->edges());
     PlanInputs inputs;
     inputs.k = query.spec.values[0].double_value;
     inputs.nodes = query.graph->num_nodes();

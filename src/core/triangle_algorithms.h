@@ -21,6 +21,11 @@ namespace smr {
 ///   multiway join (2.2)   b^3            3b - 2
 ///   ordered buckets (2.3) C(b+2,3)       b
 ///
+/// Every reducer evaluates the triangle CQ through CqReducer and keeps the
+/// triangles it owns. Partition and ordered buckets are the p = 3 cases of
+/// GeneralizedPartitionEnumerate and BucketOrientedEnumerate
+/// (core/bucket_oriented.h), kept under the paper's names.
+///
 /// Emitted assignments are (X, Y, Z) triples; `sink` may be null to count
 /// only. `seed` feeds the bucket hash function.
 
@@ -28,7 +33,7 @@ namespace smr {
 /// hashed into b >= 3 groups; one reducer per unordered triple of distinct
 /// groups. Triangles whose nodes span fewer than three groups are seen by
 /// several reducers; each reducer keeps a triangle only when its own triple
-/// is the canonical (lexicographically least) one, the de-duplication the
+/// is the canonical one (CanonicalGroupSubset), the de-duplication the
 /// paper notes Partition must pay extra work for.
 MapReduceMetrics PartitionTriangles(
     const Graph& graph, int num_groups, uint64_t seed, InstanceSink* sink,
@@ -38,7 +43,9 @@ MapReduceMetrics PartitionTriangles(
 /// The multiway-join algorithm of [2] (Section 2.2): the join
 /// E(X,Y) |><| E(Y,Z) |><| E(X,Z) with each variable hashed to b buckets;
 /// b^3 reducers; each edge is sent to 3b-2 distinct reducers (the overlap
-/// of the three roles is deduplicated, as in the paper's footnote 1).
+/// of the three roles is deduplicated, as in the paper's footnote 1). The
+/// reducer keyed (i, j, k) keeps the triangles x < y < z (by node id) with
+/// (h(x), h(y), h(z)) = (i, j, k).
 MapReduceMetrics MultiwayJoinTriangles(
     const Graph& graph, int buckets, uint64_t seed, InstanceSink* sink,
     const ExecutionPolicy& policy = ExecutionPolicy::Serial(),

@@ -3,30 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <numeric>
 #include <stdexcept>
-#include <unordered_set>
 
+#include "core/bucket_oriented.h"
+#include "cq/cq_evaluator.h"
 #include "mapreduce/job.h"
 #include "util/hashing.h"
+#include "util/scratch_pool.h"
 
 namespace smr {
-
-namespace {
-
-/// A tuple for one subgoal slot: the data edge (u, v) with u < v by node
-/// id, tagged with which sample-graph edge (slot) it serves and in which
-/// orientation (forward = lower variable bound to u).
-struct SlotTuple {
-  NodeId u;
-  NodeId v;
-  uint8_t slot;
-  uint8_t forward;
-};
-
-}  // namespace
 
 std::vector<int> RoundShares(const std::vector<double>& shares) {
   std::vector<int> rounded(shares.size());
@@ -47,6 +32,9 @@ MapReduceMetrics VariableOrientedEnumerate(
   for (int s : shares) {
     if (s < 1) throw std::invalid_argument("shares must be >= 1");
   }
+  // Edges travel as stored, smaller id first: relation E is ordered by id.
+  // Built first: it rejects a pattern variable in no edge.
+  const CqReducer reducer(cqs, nullptr);
   // Independent hash function per variable.
   std::vector<BucketHasher> hashers;
   hashers.reserve(p);
@@ -66,152 +54,88 @@ MapReduceMetrics VariableOrientedEnumerate(
     key_space *= static_cast<uint64_t>(s);
   }
 
-  // Slots = undirected pattern edges; orientations used across the CQ set.
-  const auto& slots = pattern.edges();
-  std::vector<int> orientation_mask(slots.size(), 0);  // 1 fwd, 2 backward
-  for (const auto& cq : cqs) {
-    for (const auto& [a, b] : cq.subgoals()) {
-      const std::pair<int, int> key{std::min(a, b), std::max(a, b)};
-      const size_t slot =
-          std::lower_bound(slots.begin(), slots.end(), key) - slots.begin();
-      orientation_mask[slot] |= (a < b) ? 1 : 2;
-    }
-  }
-
   // Mixed-radix reducer key over per-variable buckets.
   std::vector<uint64_t> stride(p, 1);
   for (int x = p - 2; x >= 0; --x) {
     stride[x] = stride[x + 1] * static_cast<uint64_t>(shares[x + 1]);
   }
 
-  auto map_fn = [&](const Edge& edge, Emitter<SlotTuple>* out) {
-    const auto [u, v] = edge;  // u < v by canonical storage
-    for (size_t slot = 0; slot < slots.size(); ++slot) {
-      const auto [lo_var, hi_var] = slots[slot];
-      for (int direction = 0; direction < 2; ++direction) {
-        if ((orientation_mask[slot] & (1 << direction)) == 0) continue;
-        // direction 0: subgoal (lo_var, hi_var) => X_lo = u, X_hi = v.
-        // direction 1: subgoal (hi_var, lo_var) => X_hi = u, X_lo = v.
-        const int var_u = direction == 0 ? lo_var : hi_var;
-        const int var_v = direction == 0 ? hi_var : lo_var;
-        const uint64_t base =
-            static_cast<uint64_t>(hashers[var_u].Bucket(u)) * stride[var_u] +
-            static_cast<uint64_t>(hashers[var_v].Bucket(v)) * stride[var_v];
-        // Enumerate all bucket combinations of the remaining variables.
-        std::vector<int> free_vars;
-        for (int x = 0; x < p; ++x) {
-          if (x != var_u && x != var_v) free_vars.push_back(x);
+  // One route per subgoal E(X_a, X_b) of the CQ set: the edge (u, v) binds
+  // X_a = u and X_b = v and goes to every reducer agreeing with h_a(u) and
+  // h_b(v), one per bucket combination of the other variables. An edge of
+  // S used in both orientations thus ships twice per reducer slice, the
+  // coefficient-2 terms of CostExpression::ForCqSet.
+  struct Route {
+    int var_u;
+    int var_v;
+    std::vector<uint64_t> offsets;  // of the other variables' buckets
+  };
+  std::vector<std::pair<int, int>> subgoals;
+  for (const ConjunctiveQuery& cq : cqs) {
+    subgoals.insert(subgoals.end(), cq.subgoals().begin(),
+                    cq.subgoals().end());
+  }
+  std::sort(subgoals.begin(), subgoals.end());
+  subgoals.erase(std::unique(subgoals.begin(), subgoals.end()),
+                 subgoals.end());
+  std::vector<Route> routes;
+  for (const auto& [a, b] : subgoals) {
+    Route route{a, b, {0}};
+    for (int x = 0; x < p; ++x) {
+      if (x == a || x == b) continue;
+      std::vector<uint64_t> next;
+      next.reserve(route.offsets.size() * shares[x]);
+      for (uint64_t offset : route.offsets) {
+        for (int bucket = 0; bucket < shares[x]; ++bucket) {
+          next.push_back(offset + static_cast<uint64_t>(bucket) * stride[x]);
         }
-        std::function<void(size_t, uint64_t)> emit_keys = [&](size_t i,
-                                                              uint64_t key) {
-          if (i == free_vars.size()) {
-            out->Emit(key, SlotTuple{u, v, static_cast<uint8_t>(slot),
-                                     static_cast<uint8_t>(direction == 0)});
-            return;
-          }
-          const int x = free_vars[i];
-          for (int bucket = 0; bucket < shares[x]; ++bucket) {
-            emit_keys(i + 1, key + static_cast<uint64_t>(bucket) * stride[x]);
-          }
-        };
-        emit_keys(0, base);
       }
+      route.offsets = std::move(next);
+    }
+    routes.push_back(std::move(route));
+  }
+
+  auto map_fn = [&](const Edge& edge, Emitter<Edge>* out) {
+    for (const Route& route : routes) {
+      const uint64_t base =
+          static_cast<uint64_t>(hashers[route.var_u].Bucket(edge.first)) *
+              stride[route.var_u] +
+          static_cast<uint64_t>(hashers[route.var_v].Bucket(edge.second)) *
+              stride[route.var_v];
+      for (uint64_t offset : route.offsets) out->Emit(base + offset, edge);
     }
   };
 
-  auto reduce_fn = [&](uint64_t /*key*/, std::span<const SlotTuple> values,
+  // A reducer receives an edge once per route that reaches it, so it
+  // deduplicates before building its local graph. Of the CQ solutions it
+  // finds, it keeps those whose every variable x lies in its bucket for x:
+  // all of their edges were shipped to it, so no other reducer keeps them.
+  ScratchPool<std::vector<Edge>> unique_edges;
+  auto reduce_fn = [&](uint64_t key, std::span<const Edge> values,
                        ReduceContext* context) {
-    // Per slot and direction: tuple lists and a pair index for probes.
-    const size_t num_slots = slots.size();
-    std::vector<std::vector<Edge>> relation(num_slots * 2);
-    std::vector<std::unordered_set<uint64_t, IdHash>> index(num_slots * 2);
-    for (const SlotTuple& t : values) {
-      ++context->cost->edges_scanned;
-      const size_t r = t.slot * 2 + (t.forward ? 0 : 1);
-      if (index[r].insert(PackPair(t.u, t.v)).second) {
-        relation[r].emplace_back(t.u, t.v);
-      }
-    }
-    std::vector<NodeId> assignment(p, 0);
-    std::vector<bool> bound(p, false);
-    std::vector<int> induced(p);
-
-    for (const auto& cq : cqs) {
-      // Map each subgoal of this CQ to its relation list.
-      struct SubgoalRel {
-        int var_first;  // variable bound to the tuple's u (smaller node)
-        int var_second;
-        size_t rel;
-      };
-      std::vector<SubgoalRel> rels;
-      rels.reserve(cq.subgoals().size());
-      for (const auto& [a, b] : cq.subgoals()) {
-        const std::pair<int, int> key{std::min(a, b), std::max(a, b)};
-        const size_t slot =
-            std::lower_bound(slots.begin(), slots.end(), key) - slots.begin();
-        // Subgoal (a, b): tuple (u, v) binds X_a = u, X_b = v. Forward
-        // means a < b as variables.
-        rels.push_back(SubgoalRel{a, b, slot * 2 + (a < b ? 0u : 1u)});
-      }
-      // Backtracking join over the subgoals in order.
-      std::function<void(size_t)> join = [&](size_t s) {
-        if (s == rels.size()) {
-          std::iota(induced.begin(), induced.end(), 0);
-          std::sort(induced.begin(), induced.end(), [&](int x, int y) {
-            return assignment[x] < assignment[y];
-          });
-          ++context->cost->candidates;
-          if (!cq.OrderAllowed(induced)) return;
-          context->EmitInstance(assignment);
-          return;
-        }
-        const SubgoalRel& sg = rels[s];
-        const bool bound_first = bound[sg.var_first];
-        const bool bound_second = bound[sg.var_second];
-        if (bound_first && bound_second) {
-          ++context->cost->index_probes;
-          if (assignment[sg.var_first] < assignment[sg.var_second] &&
-              index[sg.rel].count(PackPair(assignment[sg.var_first],
-                                           assignment[sg.var_second])) > 0) {
-            join(s + 1);
-          }
-          return;
-        }
-        for (const Edge& t : relation[sg.rel]) {
-          ++context->cost->candidates;
-          if (bound_first && assignment[sg.var_first] != t.first) continue;
-          if (bound_second && assignment[sg.var_second] != t.second) continue;
-          // Distinctness for newly bound variables.
-          bool ok = true;
-          if (!bound_first) {
-            for (int x = 0; x < p && ok; ++x) {
-              if (bound[x] && assignment[x] == t.first) ok = false;
-            }
-          }
-          if (!bound_second) {
-            for (int x = 0; x < p && ok; ++x) {
-              if (bound[x] && assignment[x] == t.second) ok = false;
-            }
-            if (!bound_first && t.first == t.second) ok = false;
-          }
-          if (!ok) continue;
-          const bool was_first = bound_first;
-          const bool was_second = bound_second;
-          assignment[sg.var_first] = t.first;
-          assignment[sg.var_second] = t.second;
-          bound[sg.var_first] = bound[sg.var_second] = true;
-          join(s + 1);
-          bound[sg.var_first] = was_first;
-          bound[sg.var_second] = was_second;
-        }
-      };
-      join(0);
-    }
+    const ScratchPool<std::vector<Edge>>::Lease edges = unique_edges.Acquire();
+    edges->assign(values.begin(), values.end());
+    std::sort(edges->begin(), edges->end());
+    edges->erase(std::unique(edges->begin(), edges->end()), edges->end());
+    const CqReducer::Local local = reducer.Build(*edges);
+    context->cost->edges_scanned += values.size();
+    ReducerSink owned(local.local_to_global(), context,
+                      [&](std::span<const NodeId> global) {
+                        for (int x = 0; x < p; ++x) {
+                          if (static_cast<uint64_t>(
+                                  hashers[x].Bucket(global[x])) !=
+                              key / stride[x] % shares[x]) {
+                            return false;
+                          }
+                        }
+                        return true;
+                      });
+    local.EvaluateAll(&owned, context->cost);
   };
 
   JobDriver driver(policy);
-  const RoundSpec<Edge, SlotTuple> round{"variable-oriented", map_fn,
-                                         reduce_fn, key_space, {}};
+  const RoundSpec<Edge, Edge> round{"variable-oriented", map_fn, reduce_fn,
+                                    key_space, {}};
   const MapReduceMetrics metrics = driver.RunRound(round, graph.edges(), sink);
   if (job != nullptr) *job = driver.job();
   return metrics;

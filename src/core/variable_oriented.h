@@ -21,14 +21,20 @@ namespace smr {
 /// a vector of buckets, one per variable, so there are prod(s_x) reducers.
 ///
 /// For each subgoal E(X_a, X_b) appearing in some CQ, every data edge
-/// (u, v) (u < v by node id — the order used for relation E here) is sent,
-/// as a tuple binding X_a = u and X_b = v, to the reducers agreeing with
-/// h_a(u) and h_b(v) — prod of the other shares of them. Edges of S used in
-/// both orientations are therefore shipped twice per reducer slice, which is
-/// exactly the coefficient-2 terms of CostExpression::ForCqSet.
+/// (u, v) (u < v by node id — the order used for relation E here) is sent
+/// to the reducers agreeing with h_a(u) and h_b(v) — prod of the other
+/// shares of them. Edges of S used in both orientations are therefore
+/// shipped twice per reducer slice, which is exactly the coefficient-2
+/// terms of CostExpression::ForCqSet.
+///
+/// Each reducer deduplicates the edges it received and evaluates the CQ set
+/// on them through CqReducer, keeping a solution only when every variable x
+/// hashes to the reducer's bucket for x: all of that solution's edges were
+/// shipped there, so each instance is emitted exactly once.
 ///
 /// `shares[x]` is the integer share of variable x (>= 1). Use
 /// OptimizeShares + RoundShares to derive them from a reducer budget k.
+/// Throws std::invalid_argument for a pattern variable in no edge.
 MapReduceMetrics VariableOrientedEnumerate(
     const SampleGraph& pattern, std::span<const ConjunctiveQuery> cqs,
     const Graph& graph, const std::vector<int>& shares, uint64_t seed,

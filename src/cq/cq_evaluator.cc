@@ -355,20 +355,24 @@ uint64_t CompiledCq::Evaluate(const LocalGraph& graph, JoinScratch* scratch,
   return Run(*this, graph, scratch, sink, cost).Seeds();
 }
 
+void RequireEveryVariableOnAnEdge(
+    int num_vars, std::span<const std::pair<int, int>> edges) {
+  std::vector<bool> on_edge(num_vars, false);
+  for (const auto& [a, b] : edges) on_edge[a] = on_edge[b] = true;
+  if (std::find(on_edge.begin(), on_edge.end(), false) != on_edge.end()) {
+    throw std::invalid_argument(
+        "a pattern variable in no edge cannot be placed by a reducer, "
+        "which sees only the nodes of the edges shipped to it; use the "
+        "serial strategy");
+  }
+}
+
 CqReducer::CqReducer(std::span<const ConjunctiveQuery> cqs,
                      const NodeOrder* order)
     : order_(order) {
   plans_.reserve(cqs.size());
   for (const ConjunctiveQuery& cq : cqs) {
-    std::vector<bool> in_subgoal(cq.num_vars(), false);
-    for (const auto& [a, b] : cq.subgoals()) in_subgoal[a] = in_subgoal[b] = true;
-    if (std::find(in_subgoal.begin(), in_subgoal.end(), false) !=
-        in_subgoal.end()) {
-      throw std::invalid_argument(
-          "a pattern variable in no edge cannot be placed by a reducer, "
-          "which sees only the nodes of the edges shipped to it; use the "
-          "serial strategy");
-    }
+    RequireEveryVariableOnAnEdge(cq.num_vars(), cq.subgoals());
     plans_.emplace_back(cq);
     needs_predecessors_ |= plans_.back().needs_predecessors();
   }

@@ -103,18 +103,27 @@ class CompiledCq {
   bool needs_predecessors_ = false;
 };
 
-/// The one reducer path of every CQ-evaluating strategy (bucket-oriented,
-/// generalized Partition, the Section 2 ordered-bucket and Partition
-/// triangle reducers, the labeled enumerator): the CQ set compiled once per
-/// job, and per-worker scratch — a LocalGraph and a JoinScratch — leased to
-/// each reducer in turn. Memory is O(n) per worker for the relabel map plus
-/// O(largest reducer input), never O(n) per reducer.
+/// Throws std::invalid_argument if one of the `num_vars` pattern variables
+/// is on none of `edges` (a pattern's edges or arcs, or a CQ's subgoals): a
+/// reducer sees only the nodes of the edges shipped to it, so it cannot
+/// place such a variable. Every map-reduce enumerator rejects it through
+/// this check instead of missing instances; the serial strategy finds them.
+void RequireEveryVariableOnAnEdge(int num_vars,
+                                  std::span<const std::pair<int, int>> edges);
+
+/// The one reducer path of every undirected CQ-evaluating strategy
+/// (bucket-oriented, generalized Partition and their Section 2 triangle
+/// cases, variable-oriented, the multiway-join triangles, the labeled
+/// enumerator): the CQ set compiled once per job, and per-worker scratch —
+/// a LocalGraph and a JoinScratch — leased to each reducer in turn. Memory
+/// is O(n) per worker for the relabel map plus O(largest reducer input),
+/// never O(n) per reducer.
 class CqReducer {
  public:
   /// `cqs` and `order` must outlive the reducer. The reducers' inputs must
-  /// be oriented by `order` (a null order: by node id). Throws
-  /// std::invalid_argument if a CQ has a variable in no subgoal: a reducer
-  /// sees only the nodes of the edges shipped to it, so it cannot place it.
+  /// be oriented by `order` (a null order: by node id), each edge once.
+  /// Throws std::invalid_argument if a CQ has a variable in no subgoal
+  /// (RequireEveryVariableOnAnEdge).
   CqReducer(std::span<const ConjunctiveQuery> cqs, const NodeOrder* order);
 
   struct Scratch {

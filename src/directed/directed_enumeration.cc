@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/bucket_oriented.h"
+#include "cq/cq_evaluator.h"
 #include "graph/subgraph.h"
 #include "mapreduce/job.h"
 #include "serial/matcher.h"
@@ -61,6 +62,7 @@ MapReduceMetrics DirectedBucketOrientedEnumerate(
     const DirectedSampleGraph& pattern, const DirectedGraph& graph,
     int buckets, uint64_t seed, InstanceSink* sink,
     const ExecutionPolicy& policy, JobMetrics* job) {
+  RequireEveryVariableOnAnEdge(pattern.num_vars(), pattern.arcs());
   const BucketScheme scheme(buckets, pattern.num_vars(), seed);
   // Built before the round: the reducers share it read-only, and building
   // it fills the pattern's unsynchronized automorphism cache.

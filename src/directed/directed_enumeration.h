@@ -26,7 +26,8 @@ uint64_t EnumerateDirectedInstances(const DirectedSampleGraph& pattern,
 
 /// Single-round map-reduce enumeration under the Section 4.5 BucketScheme
 /// (core/bucket_oriented.h), with arcs in place of edges. Reducers run the
-/// matcher (serial/matcher.h) on their local arcs.
+/// matcher (serial/matcher.h) on their local arcs. Throws
+/// std::invalid_argument for a pattern variable in no arc.
 MapReduceMetrics DirectedBucketOrientedEnumerate(
     const DirectedSampleGraph& pattern, const DirectedGraph& graph,
     int buckets, uint64_t seed, InstanceSink* sink,

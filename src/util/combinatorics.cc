@@ -189,13 +189,6 @@ uint64_t RankNondecreasing3(int a, int b, int c, int base) {
          static_cast<uint64_t>(c - b);
 }
 
-uint64_t RankSubset3(int a, int b, int c, int base) {
-  const int64_t n = base;
-  return (Choose3(n) - Choose3(n - a)) +
-         (Choose2(n - 1 - a) - Choose2(n - b)) +
-         static_cast<uint64_t>(c - b - 1);
-}
-
 namespace {
 
 void CompositionsRec(int total, int parts, std::vector<int>* cur,

@@ -65,13 +65,12 @@ uint64_t RankSubset(const std::vector<int>& seq, int base);
 /// Inverse of RankSubset. Precondition: rank < C(base, length).
 std::vector<int> UnrankSubset(uint64_t rank, int base, int length);
 
-/// Closed forms of RankNondecreasing / RankSubset for length-3 sequences —
-/// the per-emission hot path of the triangle-algorithm mappers, where the
+/// Closed form of RankNondecreasing for length-3 sequences — the
+/// per-emission hot path of the triangle bucket scheme's mapper, where the
 /// generic O(base) ranking loop (and its vector argument) would multiply
-/// the map phase's arithmetic by b. Requires a <= b <= c (strictly
-/// increasing for the subset form), all in [0, base).
+/// the map phase's arithmetic by b. Requires a <= b <= c, all in
+/// [0, base).
 uint64_t RankNondecreasing3(int a, int b, int c, int base);
-uint64_t RankSubset3(int a, int b, int c, int base);
 
 /// All ways to write `total` as an ordered sum of `parts` positive integers
 /// (compositions). Used by the cycle run-sequence enumeration (Section 5).

@@ -135,6 +135,21 @@ INSTANTIATE_TEST_SUITE_P(BucketsBySeed, DirectedMrParam,
                          ::testing::Combine(::testing::Values(2, 4),
                                             ::testing::Values(1ull, 5ull)));
 
+TEST(DirectedMr, RejectsVariableInNoArc) {
+  // A reducer sees only the nodes of the arcs shipped to it, so it cannot
+  // place variable 2; the serial matcher, which sees every node, can.
+  const DirectedGraph g = RandomDigraph(24, 90, 1);
+  const DirectedSampleGraph pattern(3, {{0, 1}});
+  EXPECT_EQ(EnumerateDirectedInstances(pattern, g, nullptr, nullptr),
+            90u * 22u);
+  for (const int buckets : {1, 3}) {
+    EXPECT_THROW(
+        DirectedBucketOrientedEnumerate(pattern, g, buckets, 1, nullptr),
+        std::invalid_argument)
+        << "b=" << buckets;
+  }
+}
+
 TEST(DirectedMr, ReplicationMatchesFormula) {
   const DirectedGraph g = RandomDigraph(30, 120, 3);
   const auto metrics = DirectedBucketOrientedEnumerate(

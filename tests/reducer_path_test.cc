@@ -1,15 +1,16 @@
 // Differential tests of the reducer path every CQ-evaluating strategy runs:
-// the bucket-oriented, generalized-Partition, Section 2 ordered-bucket and
-// Partition, and labeled enumerators, and the standalone CqEvaluator. Each
-// must produce exactly the serial matcher's instance multiset — for
-// connected and disconnected patterns, at several bucket counts and thread
-// counts — and the reducers' cost counters (a semantic JobMetrics field) are
-// pinned on the Fig. 1 graph.
+// the bucket-oriented, generalized-Partition, variable-oriented and labeled
+// enumerators, the Section 2 Partition, multiway-join and ordered-bucket
+// triangles, and the standalone CqEvaluator. Each must produce exactly the
+// serial matcher's instance multiset — for connected and disconnected
+// patterns, at several bucket counts, share vectors and thread counts —
+// and the reducers' cost counters (a semantic JobMetrics field) are pinned
+// on the Fig. 1 graph.
 //
 // A pattern variable in no edge can be placed on any node, but a reducer
 // only sees the nodes of the edges shipped to it: the map-reduce paths
-// reject such patterns instead of missing instances, and the standalone
-// evaluator, which holds every node, must find them all.
+// reject such patterns with a named error instead of missing instances,
+// and the standalone evaluator, which holds every node, must find them all.
 
 #include <algorithm>
 #include <stdexcept>
@@ -161,12 +162,67 @@ TEST(ReducerPath, GeneralizedPartitionMatchesSerialMultiset) {
   }
 }
 
+/// Runs `query` and expects the named error for a variable in no edge.
+void ExpectUnplaceableVariableError(const EnumerationQuery& query,
+                                    const std::string& label) {
+  try {
+    StrategyRegistry::Global().Run(query);
+    ADD_FAILURE() << label << ": no error";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("variable in no edge"),
+              std::string::npos)
+        << label << ": " << error.what();
+  }
+}
+
+/// "variable:" with one share per variable, cycling through `cycle`.
+std::string SharesSpec(int p, const std::vector<int>& cycle) {
+  std::string spec = "variable:";
+  for (int x = 0; x < p; ++x) {
+    if (x > 0) spec += "x";
+    spec += std::to_string(cycle[x % cycle.size()]);
+  }
+  return spec;
+}
+
+TEST(ReducerPath, VariableOrientedMatchesSerialMultiset) {
+  const Graph graph = DataGraph();
+  for (const NamedPattern& named : Zoo()) {
+    const int p = named.pattern.num_vars();
+    // Explicit all-2 and mixed shares, optimizer shares at the default and
+    // at k = 64, and the advisor, which may pick the variable-oriented plan:
+    // each rejects an isolated variable before pricing shares for it.
+    const std::vector<Key> expected = SerialKeys(named.pattern, graph);
+    for (const std::string& spec :
+         {SharesSpec(p, {2}), SharesSpec(p, {1, 3, 2}), std::string("variable"),
+          std::string("variable-auto:64"), std::string("auto:64")}) {
+      for (const unsigned threads : {1u, 3u}) {
+        KeySink sink(named.pattern.edges());
+        const EnumerationQuery query =
+            EnumerationQuery::Undirected(named.pattern, graph)
+                .WithStrategy(spec)
+                .WithSeed(5)
+                .WithPolicy(ExecutionPolicy::WithThreads(threads))
+                .WithSink(&sink);
+        if (named.has_isolated_variable()) {
+          ExpectUnplaceableVariableError(query, named.name + " " + spec);
+          continue;
+        }
+        const EnumerationResult result = StrategyRegistry::Global().Run(query);
+        EXPECT_EQ(sink.Multiset(), expected)
+            << named.name << " " << spec << " threads=" << threads;
+        EXPECT_EQ(result.instances, expected.size()) << named.name;
+      }
+    }
+  }
+}
+
 TEST(ReducerPath, TriangleAlgorithmsMatchSerialMultiset) {
   const Graph graph = ErdosRenyi(120, 900, 11);
   const SampleGraph triangle = SampleGraph::Triangle();
   const std::vector<Key> expected = SerialKeys(triangle, graph);
   ASSERT_FALSE(expected.empty());
-  for (const char* spec : {"partition:4", "orderedbucket:3"}) {
+  for (const char* spec : {"partition:4", "multiway:3", "orderedbucket:3"}) {
     for (const unsigned threads : {1u, 3u}) {
       KeySink sink(triangle.edges());
       StrategyRegistry::Global().Run(
