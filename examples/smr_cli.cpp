@@ -240,8 +240,7 @@ void ListBackends() {
         "re-execution of failed workers, liveness deadlines, optional "
         "thread fallback",
         "one hop per pair: map run files merged by reduce workers; "
-        "ShuffleStats reports map/reduce bytes; census per-node table "
-        "unavailable"}};
+        "ShuffleStats reports map/reduce bytes"}};
   std::printf("# backend\tspec\tworkers\twire bytes\tfault tolerance\tnotes\n");
   for (size_t i = 0; i < smr::EnumTraits<smr::BackendMode>::kCount; ++i) {
     const BackendRow& row = kRows[i];

@@ -4,7 +4,6 @@
 #include <array>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "graph/graph.h"
 #include "graph/node_order.h"
@@ -18,29 +17,22 @@ namespace two_path_rounds {
 /// (counting). Internal to src/core — the specs capture `order` by
 /// reference, so they must not outlive the caller's NodeOrder.
 
-/// Round-2 record: either a 2-path u - mid - w (kind 0) or a closing edge
-/// {u, w} (kind 1). Keyed by u * n + w with u < w by order rank — dense in
-/// the declared key space n^2, which the engine's partitioned shuffle
-/// splits into key ranges (the old PackPair key, u * 2^32 + w, put nearly
-/// every key beyond n^2 and would have collapsed the shuffle into its last
-/// partition).
+/// Round-2 value: either a 2-path u - mid - w (is_edge 0) or the closing
+/// edge {u, w} (is_edge 1, mid 0). Keyed by u * n + w with u < w by order
+/// rank — dense in the declared key space n^2, which the engine's
+/// partitioned shuffle splits into key ranges (the old PackPair key,
+/// u * 2^32 + w, put nearly every key beyond n^2 and would have collapsed
+/// the shuffle into its last partition).
 struct PathOrEdge {
   NodeId mid = 0;
   uint8_t is_edge = 0;
 };
 
-/// Round-2 input: all 2-paths plus all (oriented) edges, as one record
-/// type.
-struct JoinInput {
-  NodeId u;
-  NodeId w;
-  NodeId mid;
-  uint8_t is_edge;
-};
-
-/// Round 1: group edges by their order-minimum endpoint; the reducer for
-/// node v emits every properly ordered 2-path u - v - w (u < w by order
-/// rank) as an intermediate record (u, v, w).
+/// Round 1: group edges by their order-minimum endpoint. The reducer for
+/// node v records every oriented edge (v, w) it holds as the closing-edge
+/// record (v, v, w) — tagged by mid == u, which no 2-path has — and every
+/// properly ordered 2-path u - v - w (u < w by order rank) as (u, v, w).
+/// Round 2 maps this one buffer.
 inline RoundSpec<Edge, NodeId> TwoPathsRound(const Graph& graph,
                                              const NodeOrder& order) {
   return RoundSpec<Edge, NodeId>{
@@ -55,6 +47,8 @@ inline RoundSpec<Edge, NodeId> TwoPathsRound(const Graph& graph,
         const NodeId mid = static_cast<NodeId>(key);
         context->cost->edges_scanned += values.size();
         for (size_t i = 0; i < values.size(); ++i) {
+          const std::array<NodeId, 3> edge = {mid, mid, values[i]};
+          context->EmitRecord(edge);
           for (size_t j = i + 1; j < values.size(); ++j) {
             ++context->cost->candidates;
             NodeId u = values[i];
@@ -70,36 +64,22 @@ inline RoundSpec<Edge, NodeId> TwoPathsRound(const Graph& graph,
       /*emissions_per_input=*/1.0};  // Exactly one pair per edge.
 }
 
-/// Round 2's inputs: the 2-path records of round 1 plus every oriented
-/// edge as a closing-edge marker.
-inline std::vector<JoinInput> BuildJoinInputs(const RecordBuffer& two_paths,
-                                              const Graph& graph,
-                                              const NodeOrder& order) {
-  std::vector<JoinInput> inputs;
-  inputs.reserve(two_paths.size() + graph.num_edges());
-  for (size_t i = 0; i < two_paths.size(); ++i) {
-    const auto path = two_paths[i];
-    inputs.push_back({path[0], path[2], path[1], 0});
-  }
-  for (const Edge& e : graph.edges()) {
-    const Edge oriented = order.Orient(e);
-    inputs.push_back({oriented.first, oriented.second, 0, 1});
-  }
-  return inputs;
-}
-
-/// Round 2: join 2-paths with closing edges on the endpoint pair; a
-/// reducer seeing both emits each triangle (mid, u, w), mid the
-/// order-minimum, via EmitInstance — and, when `record_triangles` is set,
-/// also as a record for a downstream counting round.
-inline RoundSpec<JoinInput, PathOrEdge> JoinRound(const Graph& graph,
+/// Round 2: join 2-paths with closing edges on the endpoint pair, mapping
+/// round 1's records in place; a reducer seeing both emits each triangle
+/// (mid, u, w), mid the order-minimum, via EmitInstance — and, when
+/// `record_triangles` is set, also as a record for a downstream counting
+/// round. The closing edges interleave with the 2-paths but never reorder
+/// them, so triangles come out in the order of the 2-paths.
+inline RoundSpec<Record<3>, PathOrEdge> JoinRound(const Graph& graph,
                                                   bool record_triangles) {
   const uint64_t n = graph.num_nodes();
-  return RoundSpec<JoinInput, PathOrEdge>{
+  return RoundSpec<Record<3>, PathOrEdge>{
       "join",
-      [n](const JoinInput& input, Emitter<PathOrEdge>* out) {
-        out->Emit(static_cast<uint64_t>(input.u) * n + input.w,
-                  PathOrEdge{input.mid, input.is_edge});
+      [n](const Record<3>& record, Emitter<PathOrEdge>* out) {
+        const bool is_edge = record[0] == record[1];
+        out->Emit(static_cast<uint64_t>(record[0]) * n + record[2],
+                  PathOrEdge{is_edge ? 0 : record[1],
+                             static_cast<uint8_t>(is_edge)});
       },
       [n, record_triangles](uint64_t key, std::span<const PathOrEdge> values,
                             ReduceContext* context) {
@@ -122,7 +102,7 @@ inline RoundSpec<JoinInput, PathOrEdge> JoinRound(const Graph& graph,
       },
       n * n,
       {},
-      /*emissions_per_input=*/1.0};  // Exactly one pair per join input.
+      /*emissions_per_input=*/1.0};  // Exactly one pair per record.
 }
 
 }  // namespace two_path_rounds

@@ -10,17 +10,16 @@ TwoRoundMetrics TwoRoundTriangles(const Graph& graph, const NodeOrder& order,
                                   const ExecutionPolicy& policy) {
   JobDriver driver(policy);
 
-  // Round 1: 2-paths by order-minimum endpoint, threaded to round 2
-  // through the engine's deterministic record channel.
-  RecordBuffer two_paths(3);
+  // Round 1: 2-paths and closing edges by order-minimum endpoint,
+  // threaded to round 2 through the engine's deterministic record channel.
+  RecordBuffer paths_and_edges(3);
   driver.RunRound(two_path_rounds::TwoPathsRound(graph, order), graph.edges(),
-                  nullptr, &two_paths);
+                  nullptr, &paths_and_edges);
 
-  // Round 2: join 2-paths with closing edges on the endpoint pair.
-  const std::vector<two_path_rounds::JoinInput> inputs =
-      two_path_rounds::BuildJoinInputs(two_paths, graph, order);
+  // Round 2: join 2-paths with closing edges on the endpoint pair, mapping
+  // round 1's records where they lie.
   driver.RunRound(two_path_rounds::JoinRound(graph, /*record_triangles=*/false),
-                  inputs, sink);
+                  paths_and_edges.records<3>(), sink);
 
   TwoRoundMetrics result;
   result.job = driver.job();

@@ -18,11 +18,12 @@ namespace smr {
 /// multi-round JobDriver pipeline:
 ///
 ///   Round 1 — key every edge by its order-minimum endpoint; the reducer
-///   for node v emits every properly ordered 2-path u - v - w as an
-///   intermediate record.
-///   Round 2 — key the 2-paths and the original edges by the unordered
-///   endpoint pair {u, w}; a reducer seeing both a 2-path and the closing
-///   edge emits the triangle.
+///   for node v records every properly ordered 2-path u - v - w, and
+///   every oriented edge (v, w) it holds as a closing edge, in one
+///   RecordBuffer.
+///   Round 2 — maps that buffer in place: keys the 2-paths and the closing
+///   edges by the endpoint pair {u, w}; a reducer seeing both a 2-path
+///   and the closing edge emits the triangle.
 ///
 /// Communication: 2m in round 1 plus (#2-paths + m) in round 2 — cheaper
 /// than one-round replication on sparse graphs, at the price of a second
@@ -41,8 +42,8 @@ struct TwoRoundMetrics {
 /// Runs both rounds through one JobDriver; emits each triangle exactly once
 /// (as the assignment sorted by `order`). Uses the nondecreasing-degree
 /// order so round 1's 2-path count is O(m^{3/2}). Both rounds run under
-/// `policy` — round 1's 2-paths flow through the engine's deterministic
-/// record channel, so results are identical for every thread count.
+/// `policy` — round 1's records flow through the engine's deterministic
+/// record channel, so results are identical for every policy.
 TwoRoundMetrics TwoRoundTriangles(
     const Graph& graph, const NodeOrder& order, InstanceSink* sink,
     const ExecutionPolicy& policy = ExecutionPolicy::Serial());

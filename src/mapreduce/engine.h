@@ -1,11 +1,12 @@
 #ifndef SMR_MAPREDUCE_ENGINE_H_
 #define SMR_MAPREDUCE_ENGINE_H_
 
-#include <span>
 #include <type_traits>
 
 #include "mapreduce/codec.h"
 #include "mapreduce/execution_policy.h"
+#include "mapreduce/input_runs.h"
+#include "mapreduce/instance_sink.h"
 #include "mapreduce/process_backend.h"
 #include "mapreduce/round.h"
 #include "mapreduce/shuffle_backend.h"
@@ -56,14 +57,9 @@ namespace smr {
 /// count, worker count, partition count, and budget. Map and
 /// reduce callbacks must therefore be re-entrant: they may mutate only
 /// their own locals and the ReduceContext/Emitter they are handed, never
-/// shared captured state. One narrow exception for reducers: because each
-/// distinct key is reduced exactly once per round, a reducer may write to
-/// a preallocated per-key slot of a shared structure (e.g. counts[key] =
-/// ...) — disjoint slots, one writer each, no race. Nothing finer:
-/// accumulating into any shared location reachable from two keys is a data
-/// race. (The process backend runs reducers in forked children, where such
-/// shared-slot writes stay in the child's address space — see
-/// process_backend.h for that backend's stricter contract.)
+/// shared captured state. A reducer reaches the caller only through what
+/// it emits: the process backend runs reducers in forked children, and a
+/// retry may run one more than once (process_backend.h).
 ///
 /// Parallel phases dispatch through the policy's persistent ThreadPool
 /// (mapreduce/thread_pool.h): threads are spawned on the first parallel
@@ -112,9 +108,11 @@ const ShuffleBackend<Input, Value>& SelectShuffleBackend(
   return in_memory;
 }
 
-/// Runs one declared round. `sink` receives the reducers' final instances
-/// (EmitInstance), `records` the intermediate records (EmitRecord) a
-/// multi-round pipeline threads into its next round; either may be null.
+/// Runs one declared round over `inputs` — a span or vector, or the runs
+/// of a previous round's RecordBuffer, mapped in place. `sink` receives
+/// the reducers' final instances (EmitInstance), `records` the
+/// intermediate records (EmitRecord) a multi-round pipeline threads into
+/// its next round; either may be null.
 /// `policy` selects the host-side scheduling; results are identical for
 /// every thread count, partition count, budget, and backend.
 /// `expected_pairs` is a host-side reservation hint for the round's total
@@ -126,10 +124,10 @@ const ShuffleBackend<Input, Value>& SelectShuffleBackend(
 template <typename Input, typename Value>
 MapReduceMetrics RunRound(
     const RoundSpec<Input, Value>& spec,
-    // type_identity keeps the span out of deduction so callers can pass
-    // vectors (Input/Value are pinned by the spec).
-    std::span<const std::type_identity_t<Input>> inputs, InstanceSink* sink,
-    InstanceSink* records = nullptr,
+    // type_identity keeps the runs out of deduction so callers can pass
+    // spans and vectors (Input/Value are pinned by the spec).
+    const InputRuns<std::type_identity_t<Input>>& inputs, InstanceSink* sink,
+    RecordBuffer* records = nullptr,
     const ExecutionPolicy& policy = ExecutionPolicy::Serial(),
     uint64_t expected_pairs = 0) {
   if (spec.emissions_per_input > 0) {

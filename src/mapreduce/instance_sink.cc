@@ -1,5 +1,8 @@
 #include "mapreduce/instance_sink.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace smr {
 
 InstanceKey MakeInstanceKey(std::span<const std::pair<int, int>> pattern_edges,
@@ -44,6 +47,44 @@ void BufferingSink::FlushTo(InstanceSink* sink) const {
     sink->Emit(std::span<const NodeId>(chunks_[chunk].data + offset, size));
     offset += size;
   }
+}
+
+RecordBuffer::RecordBuffer(size_t arity)
+    : arity_(arity),
+      per_chunk_(arity == 0 ? 0 : kChunkBytes / (arity * sizeof(NodeId))) {
+  if (per_chunk_ == 0) {
+    throw std::invalid_argument("RecordBuffer: arity " + std::to_string(arity) +
+                                " does not fit a chunk");
+  }
+}
+
+void RecordBuffer::ThrowArity(size_t got) const {
+  throw std::invalid_argument("RecordBuffer: a record of " +
+                              std::to_string(got) +
+                              " nodes on a channel of arity " +
+                              std::to_string(arity_));
+}
+
+void RecordBuffer::AddChunk() {
+  chunks_.push_back(
+      Chunk{std::make_unique_for_overwrite<NodeId[]>(per_chunk_ * arity_), 0});
+  cursor_ = chunks_.back().nodes.get();
+  room_ = per_chunk_;
+}
+
+void RecordBuffer::Splice(RecordBuffer&& other) {
+  if (other.arity_ != arity_) ThrowArity(other.arity_);
+  if (other.size_ == 0) return;
+  chunks_.insert(chunks_.end(), std::make_move_iterator(other.chunks_.begin()),
+                 std::make_move_iterator(other.chunks_.end()));
+  size_ += other.size_;
+  // The next Emit opens a fresh chunk behind the spliced ones.
+  cursor_ = nullptr;
+  room_ = 0;
+  other.chunks_.clear();
+  other.cursor_ = nullptr;
+  other.room_ = 0;
+  other.size_ = 0;
 }
 
 std::vector<InstanceKey> CollectingSink::Keys(

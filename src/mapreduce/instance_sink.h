@@ -2,12 +2,14 @@
 #define SMR_MAPREDUCE_INSTANCE_SINK_H_
 
 #include <algorithm>
-#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "graph/graph.h"
+#include "mapreduce/input_runs.h"
 #include "util/arena.h"
 
 namespace smr {
@@ -56,11 +58,12 @@ class CountingSink : public InstanceSink {
   uint64_t count_ = 0;
 };
 
-/// Buffers emitted assignments in flat storage for later replay. The
-/// parallel engine hands one BufferingSink to each worker so reducers never
-/// contend on the caller's sink; after the workers join, the buffers are
-/// replayed into the real sink in ascending-key-shard order, reproducing the
-/// serial engine's emission order exactly.
+/// Buffers emitted instances in flat storage for later replay. The
+/// parallel engine hands one BufferingSink to each partition so reducers
+/// never contend on the caller's sink; after the workers join, the buffers
+/// are replayed into the real sink in partition (ascending-key) order,
+/// reproducing the serial engine's emission order exactly. Records need
+/// no replay: see RecordBuffer::Splice.
 class BufferingSink : public InstanceSink {
  public:
   void Emit(std::span<const NodeId> assignment) override {
@@ -104,36 +107,79 @@ class BufferingSink : public InstanceSink {
   std::vector<uint32_t> sizes_;
 };
 
-/// Flat buffer of fixed-arity records: the intermediate channel a
-/// JobDriver pipeline threads between rounds. A round's reducers
-/// EmitRecord() into one of these (the engine replays records in the same
-/// deterministic order as instances), and the next round maps over
-/// `operator[]` views — or over the flat `nodes()` span when each node of
-/// a record is an input in its own right.
-class RecordBuffer : public InstanceSink {
+/// Fixed-arity records held in chunks: the intermediate channel a JobDriver
+/// pipeline threads between rounds. A round's reducers EmitRecord() into
+/// one of these, and the next round maps over it where it lies — as flat
+/// nodes() when each node of a record is an input in its own right, or as
+/// records<Arity>() — one input run per chunk; the buffer is never copied.
+///
+/// A chunk holds a whole number of records (a record never straddles two
+/// chunks), and once written a chunk never moves: the in-memory shuffle
+/// gives each partition its own buffer and Splice()s them together in
+/// partition order by moving chunk ownership.
+class RecordBuffer final : public InstanceSink {
  public:
-  explicit RecordBuffer(size_t arity) : arity_(arity) {}
+  /// Chunk size; a chunk holds kChunkBytes / (arity x 4) records.
+  static constexpr size_t kChunkBytes = size_t{64} * 1024;
 
+  /// Throws std::invalid_argument unless 1 <= arity <= kChunkBytes / 4.
+  explicit RecordBuffer(size_t arity);
+
+  /// Appends one record. Throws std::invalid_argument when the record's
+  /// size is not the arity: it would shift every record after it.
   void Emit(std::span<const NodeId> record) override {
-    // A wrong-arity record would silently shift the framing of every
-    // record after it.
-    assert(record.size() == arity_);
-    nodes_.insert(nodes_.end(), record.begin(), record.end());
+    if (record.size() != arity_) ThrowArity(record.size());
+    if (room_ == 0) AddChunk();
+    std::copy(record.begin(), record.end(), cursor_);
+    cursor_ += arity_;
+    --room_;
+    ++chunks_.back().records;
+    ++size_;
   }
 
-  size_t size() const { return nodes_.size() / arity_; }
+  size_t size() const { return size_; }
   size_t arity() const { return arity_; }
+  size_t records_per_chunk() const { return per_chunk_; }
 
-  std::span<const NodeId> operator[](size_t i) const {
-    return {nodes_.data() + i * arity_, arity_};
+  /// Moves every chunk of `other` (same arity) behind this buffer's
+  /// records, copying none; `other` is left empty.
+  void Splice(RecordBuffer&& other);
+
+  /// All records' nodes, concatenated: one run per chunk.
+  InputRuns<NodeId> nodes() const { return Runs<NodeId>(); }
+
+  /// All records, one Record<Arity> per input: one run per chunk. Throws
+  /// std::invalid_argument unless Arity == arity().
+  template <size_t Arity>
+  InputRuns<Record<Arity>> records() const {
+    if (Arity != arity_) ThrowArity(Arity);
+    return Runs<Record<Arity>>();
   }
-
-  /// All records, concatenated.
-  std::span<const NodeId> nodes() const { return nodes_; }
 
  private:
+  template <typename T>
+  InputRuns<T> Runs() const {
+    InputRuns<T> runs;
+    for (const Chunk& chunk : chunks_) {
+      runs.Append({chunk.nodes.get(), chunk.records * arity_});
+    }
+    return runs;
+  }
+
+  struct Chunk {
+    std::unique_ptr<NodeId[]> nodes;
+    size_t records = 0;
+  };
+
+  [[noreturn]] void ThrowArity(size_t got) const;
+  void AddChunk();
+
   size_t arity_;
-  std::vector<NodeId> nodes_;
+  size_t per_chunk_;
+  std::vector<Chunk> chunks_;
+  NodeId* cursor_ = nullptr;
+  size_t room_ = 0;  // records that still fit in the last chunk
+  size_t size_ = 0;
 };
 
 /// Stores every emitted assignment (test mode).

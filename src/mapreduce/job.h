@@ -2,7 +2,6 @@
 #define SMR_MAPREDUCE_JOB_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -69,13 +68,13 @@ struct JobMetrics {
 /// Runs a declared chain of rounds under one ExecutionPolicy, collecting
 /// each round's metrics into a JobMetrics summary. Intermediate emissions
 /// are threaded between rounds through the `records` channel: a round's
-/// reducers EmitRecord() into a RecordBuffer, which the strategy feeds
-/// (directly or transformed) as the next round's input span.
+/// reducers EmitRecord() into a RecordBuffer, and the next round maps
+/// that buffer's chunks in place, as Record<Arity> views or flat nodes.
 ///
 ///   JobDriver driver(policy);
 ///   RecordBuffer paths(3);
 ///   driver.RunRound(paths_round, graph.edges(), nullptr, &paths);
-///   driver.RunRound(join_round, BuildRound2Inputs(paths, graph), sink);
+///   driver.RunRound(join_round, paths.records<3>(), sink);
 ///   const JobMetrics& job = driver.job();
 ///
 /// The policy's `combine` switch gates every declared combiner in the
@@ -100,8 +99,8 @@ class JobDriver {
   template <typename Input, typename Value>
   MapReduceMetrics RunRound(
       const RoundSpec<Input, Value>& spec,
-      std::span<const std::type_identity_t<Input>> inputs, InstanceSink* sink,
-      InstanceSink* records = nullptr) {
+      const InputRuns<std::type_identity_t<Input>>& inputs, InstanceSink* sink,
+      RecordBuffer* records = nullptr) {
     MapReduceMetrics metrics = smr::RunRound(spec, inputs, sink, records,
                                              policy_, previous_round_pairs_);
     previous_round_pairs_ = metrics.shuffle.pairs_shipped;

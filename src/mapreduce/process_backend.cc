@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -390,19 +391,6 @@ class BodyReader {
   size_t position_ = 0;
 };
 
-/// [varint arity][varint node]* — an instance or record frame's body.
-bool DecodeNodeList(const FrameView& frame, std::vector<NodeId>* out) {
-  BodyReader reader(frame);
-  uint64_t count = 0;
-  out->clear();
-  if (!reader.Read(&count) || count > reader.remaining()) return false;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t node = 0;
-    if (!reader.Read(&node)) return false;
-    out->push_back(static_cast<NodeId>(node));
-  }
-  return reader.Done();
-}
 
 /// The reduce-shard counters a metrics frame carries, in wire order.
 constexpr int kMetricsFields = 7;
@@ -602,9 +590,11 @@ void CollectMapWorker(WorkerCrew* crew, size_t t, int timeout_ms,
 }
 
 /// Reads reduce worker r's output, validating every frame and buffering
-/// it into *replay, and reaps the worker. Throws Fault on any failure.
+/// it into *replay, and reaps the worker. A record frame must carry
+/// exactly `record_arity` nodes (0 = no record channel). Throws Fault on
+/// any failure.
 void CollectReduceWorker(WorkerCrew* crew, size_t r, int timeout_ms,
-                         bool want_instances, bool want_records,
+                         bool want_instances, size_t record_arity,
                          std::vector<unsigned char>* replay,
                          uint64_t* frames, uint64_t* recv_bytes) {
   std::vector<NodeId> nodes;
@@ -614,10 +604,11 @@ void CollectReduceWorker(WorkerCrew* crew, size_t r, int timeout_ms,
         bool ok = false;
         switch (frame.kind) {
           case FrameKind::kInstance:
-            ok = want_instances && DecodeNodeList(frame, &nodes);
+            ok = want_instances && DecodeNodeList(frame, 0, &nodes);
             break;
           case FrameKind::kRecord:
-            ok = want_records && DecodeNodeList(frame, &nodes);
+            ok = record_arity > 0 &&
+                 DecodeNodeList(frame, record_arity, &nodes);
             break;
           case FrameKind::kMetrics:
             ok = DecodeMetrics(frame, &shard);
@@ -636,7 +627,7 @@ void CollectReduceWorker(WorkerCrew* crew, size_t r, int timeout_ms,
 /// Replays one reduce worker's validated output: instances to `sink`,
 /// records to `records`, the shard metrics into *metrics.
 void ReplayReduceOutput(const std::vector<unsigned char>& replay,
-                        InstanceSink* sink, InstanceSink* records,
+                        InstanceSink* sink, RecordBuffer* records,
                         MapReduceMetrics* metrics) {
   std::vector<NodeId> nodes;
   size_t position = 0;
@@ -650,10 +641,10 @@ void ReplayReduceOutput(const std::vector<unsigned char>& replay,
     if (frame.kind == FrameKind::kMetrics && DecodeMetrics(frame, &shard)) {
       metrics->MergeReduceShard(shard);
     } else if (frame.kind == FrameKind::kInstance &&
-               DecodeNodeList(frame, &nodes)) {
+               DecodeNodeList(frame, 0, &nodes)) {
       sink->Emit(nodes);
     } else if (frame.kind == FrameKind::kRecord &&
-               DecodeNodeList(frame, &nodes)) {
+               DecodeNodeList(frame, records->arity(), &nodes)) {
       records->Emit(nodes);
     } else {
       // Unreachable: CollectReduceWorker validated every frame.
@@ -703,6 +694,24 @@ std::optional<ArmedFault> Arm(FaultInjector* injector, WorkerRole role,
 }
 
 }  // namespace
+
+bool DecodeNodeList(const FrameView& frame, size_t arity,
+                    std::vector<NodeId>* out) {
+  BodyReader reader(frame);
+  uint64_t count = 0;
+  out->clear();
+  if (!reader.Read(&count) || count > reader.remaining()) return false;
+  if (arity != 0 && count != arity) return false;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t node = 0;
+    // A wider node would alias a real id once narrowed.
+    if (!reader.Read(&node) || node > std::numeric_limits<NodeId>::max()) {
+      return false;
+    }
+    out->push_back(static_cast<NodeId>(node));
+  }
+  return reader.Done();
+}
 
 // ------------------------------------------------------ child side
 
@@ -826,7 +835,7 @@ void SendReduceOutput(int fd, const MapReduceMetrics& shard,
 void Coordinate(const ExecutionPolicy& policy, unsigned map_workers,
                 unsigned partitions, uint64_t record_bytes,
                 const MapBody& map_body, const ReduceBody& reduce_body,
-                InstanceSink* sink, InstanceSink* records,
+                InstanceSink* sink, RecordBuffer* records,
                 MapReduceMetrics* metrics, uint64_t* logical_pairs,
                 uint64_t* shipped_pairs, FaultCounters* counters) {
   FaultInjector* injector = policy.fault_injector != nullptr
@@ -914,6 +923,7 @@ void Coordinate(const ExecutionPolicy& policy, unsigned map_workers,
   const bool counts_only = sink != nullptr && sink->CountsOnly();
   const bool want_instances = sink != nullptr && !counts_only;
   const bool want_records = records != nullptr;
+  const size_t record_arity = want_records ? records->arity() : 0;
 
   std::vector<std::vector<unsigned char>> replay(reduce_workers);
   std::vector<uint64_t> out_frames(reduce_workers, 0);
@@ -931,7 +941,7 @@ void Coordinate(const ExecutionPolicy& policy, unsigned map_workers,
       },
       [&](size_t r) {
         CollectReduceWorker(&reduce_crew, r, timeout_ms, want_instances,
-                            want_records, &replay[r], &out_frames[r],
+                            record_arity, &replay[r], &out_frames[r],
                             &out_bytes[r]);
       },
       [&](size_t r, Fault*) {

@@ -78,7 +78,7 @@ using ReduceBody = std::function<void(
 void Coordinate(const ExecutionPolicy& policy, unsigned map_workers,
                 unsigned partitions, uint64_t record_bytes,
                 const MapBody& map_body, const ReduceBody& reduce_body,
-                InstanceSink* sink, InstanceSink* records,
+                InstanceSink* sink, RecordBuffer* records,
                 MapReduceMetrics* metrics, uint64_t* logical_pairs,
                 uint64_t* shipped_pairs, FaultCounters* counters);
 
@@ -144,6 +144,13 @@ class FrameSink final : public InstanceSink {
   std::vector<unsigned char> scratch_;
 };
 
+/// Strictly decodes an instance or record frame's body ([varint
+/// count][varint node]*) into *out. False when the body is malformed, a
+/// node does not fit a NodeId, or `arity` is nonzero and differs from the
+/// count — a frame the coordinator rejects as corrupt.
+bool DecodeNodeList(const FrameView& frame, size_t arity,
+                    std::vector<NodeId>* out);
+
 /// Sends a reduce child's buffered output followed by its shard metrics
 /// and kEnd. An armed fault cuts (kill/stall) or corrupts the stream at
 /// output frame `after`; `boundaries` is non-null exactly then.
@@ -205,11 +212,9 @@ void SendReduceOutput(int fd, const MapReduceMetrics& shard,
 /// keeps the paper's key_value_pairs x record_size formula
 /// (bench/bench_backend_comm.cc plots one against the other).
 ///
-/// Stricter reducer contract than the thread backend: reducers run in
-/// forked children, so ONLY what they emit through the ReduceContext
-/// reaches the parent — a shared-slot side effect (e.g. census's
-/// per-node table) stays in the child. Retries tighten this further:
-/// side effects outside the emitted stream may run more than once.
+/// Reducers run in forked children, so only what they emit through the
+/// ReduceContext reaches the parent, and a retried worker runs its
+/// reducers again.
 template <typename Input, typename Value>
 class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
   static_assert(ValueCodec<Value>::kEncodable,
@@ -224,8 +229,8 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
   const char* name() const override { return "process"; }
 
   MapReduceMetrics RunRound(const RoundSpec<Input, Value>& spec,
-                            std::span<const Input> inputs, InstanceSink* sink,
-                            InstanceSink* records,
+                            const InputRuns<Input>& inputs, InstanceSink* sink,
+                            RecordBuffer* records,
                             const ExecutionPolicy& policy,
                             uint64_t expected_pairs) const override {
     FaultCounters counters;
@@ -249,8 +254,8 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
 
  private:
   MapReduceMetrics RunProcessRound(const RoundSpec<Input, Value>& spec,
-                                   std::span<const Input> inputs,
-                                   InstanceSink* sink, InstanceSink* records,
+                                   const InputRuns<Input>& inputs,
+                                   InstanceSink* sink, RecordBuffer* records,
                                    const ExecutionPolicy& policy,
                                    uint64_t expected_pairs,
                                    FaultCounters* counters) const {
@@ -281,10 +286,8 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
         policy, map_workers, partitioner.partitions(), kRecordBytes,
         [&](size_t t, SpillFile* run_file,
             const std::optional<ArmedFault>& fault, int fd) {
-          MapChild(spec,
-                   inputs.subspan(bounds[t], bounds[t + 1] - bounds[t]),
-                   combiner, partitioner, budget, expected, run_file, fault,
-                   fd);
+          MapChild(spec, inputs, bounds[t], bounds[t + 1], combiner,
+                   partitioner, budget, expected, run_file, fault, fd);
         },
         [&](const process_internal::RunFiles& files,
             const std::vector<MapReport>& reports, unsigned first,
@@ -299,12 +302,13 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
     return metrics;
   }
 
-  /// Map worker body (runs in the forked child): scatter the slice into
-  /// the channel's partition buckets — spilling early runs under a budget
-  /// — then flush every bucket as a stably sorted run and send the report.
+  /// Map worker body (runs in the forked child): scatter inputs
+  /// [begin, end) into the channel's partition buckets — spilling early
+  /// runs under a budget — then flush every bucket as a stably sorted run
+  /// and send the report.
   static void MapChild(const RoundSpec<Input, Value>& spec,
-                       std::span<const Input> slice,
-                       const CombineFn* combiner,
+                       const InputRuns<Input>& inputs, size_t begin,
+                       size_t end, const CombineFn* combiner,
                        const KeyPartitioner& partitioner, uint64_t budget,
                        uint64_t expected, SpillFile* run_file,
                        const std::optional<ArmedFault>& fault, int fd) {
@@ -320,7 +324,8 @@ class ProcessShuffleBackend final : public ShuffleBackend<Input, Value> {
     }
     Emitter<Value> emitter(buckets, &partitioner, combiner,
                            budget == 0 ? expected : 0, &channel);
-    for (const Input& input : slice) spec.mapper(input, &emitter);
+    inputs.ForEach(begin, end,
+                   [&](const Input& input) { spec.mapper(input, &emitter); });
 
     MapReport report;
     report.pages_spilled = pool.pages_spilled();

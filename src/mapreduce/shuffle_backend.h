@@ -34,12 +34,13 @@ class ShuffleBackend {
   /// Stable display name ("in-memory", "process").
   virtual const char* name() const = 0;
 
-  /// Runs one declared round. `expected_pairs` is a reservation hint for
-  /// the round's total emission count (0 = none); `sink`/`records` may be
-  /// null. See engine.h's RunRound for the full contract.
+  /// Runs one declared round over the concatenation of `inputs`' runs.
+  /// `expected_pairs` is a reservation hint for the round's total
+  /// emission count (0 = none); `sink`/`records` may be null. See
+  /// engine.h's RunRound for the full contract.
   virtual MapReduceMetrics RunRound(const RoundSpec<Input, Value>& spec,
-                                    std::span<const Input> inputs,
-                                    InstanceSink* sink, InstanceSink* records,
+                                    const InputRuns<Input>& inputs,
+                                    InstanceSink* sink, RecordBuffer* records,
                                     const ExecutionPolicy& policy,
                                     uint64_t expected_pairs) const = 0;
 };
@@ -119,7 +120,10 @@ void ReduceStream(
 /// Both paths yield the stable sort of the worker-order concatenation,
 /// and partitions cover ascending disjoint key ranges, so replaying the
 /// per-partition results in partition order reproduces the serial round
-/// exactly, whatever the thread count, partition count, or budget. A
+/// exactly, whatever the thread count, partition count, or budget. On
+/// both paths a partition's reducers write their records straight into
+/// the partition's own RecordBuffer shard, and the shards are spliced
+/// into the round's buffer in partition order. A
 /// Value the spill store cannot serialize (ValueCodec<V>::kEncodable ==
 /// false) ignores the budget.
 template <typename Input, typename Value>
@@ -128,8 +132,8 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
   const char* name() const override { return "in-memory"; }
 
   MapReduceMetrics RunRound(const RoundSpec<Input, Value>& spec,
-                            std::span<const Input> inputs, InstanceSink* sink,
-                            InstanceSink* records,
+                            const InputRuns<Input>& inputs, InstanceSink* sink,
+                            RecordBuffer* records,
                             const ExecutionPolicy& policy,
                             uint64_t expected_pairs) const override {
     using Pair = std::pair<uint64_t, Value>;
@@ -162,8 +166,9 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
           std::make_unique<SpillChannel<Value>>(&pool, partitions));
     }
 
-    // Map phase: worker t scatters its slice's emissions into its
-    // channel's bucket per destination partition, in emission order.
+    // Map phase: worker t walks its slice of the inputs' concatenation,
+    // run by run, and scatters the emissions into its channel's bucket
+    // per destination partition, in emission order.
     const std::vector<size_t> bounds =
         engine_internal::SliceBoundaries(inputs.size(), map_threads);
     const uint64_t worker_expected = engine_internal::ClampCombined(
@@ -182,9 +187,8 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
       Emitter<Value> emitter(buckets, &partitioner, combiner,
                              bounded ? 0 : worker_expected,
                              bounded ? channels[t].get() : nullptr);
-      for (size_t i = bounds[t]; i < bounds[t + 1]; ++i) {
-        map_fn(inputs[i], &emitter);
-      }
+      inputs.ForEach(bounds[t], bounds[t + 1],
+                     [&](const Input& input) { map_fn(input, &emitter); });
       worker_logical[t] = emitter.emitted();
     }, &metrics.shuffle);
 
@@ -209,23 +213,29 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
     // Empty round: nothing to group, no reduce workers worth dispatching.
     if (total_pairs == 0) return metrics;
 
-    // Reduce phase into partition-private metrics and sinks, so nothing
-    // below needs a lock. A single reduce worker drains the partitions in
-    // ascending order and can emit straight into the round's sinks.
-    // Counting sinks don't need their emissions buffered and replayed —
-    // the partition output totals suffice. Records are always buffered
-    // when replayed: their contents feed the next round.
+    // Reduce phase into partition-private metrics, sinks and record
+    // shards, so nothing below needs a lock. A single reduce worker drains
+    // the partitions in ascending order and can emit straight into the
+    // round's sink and record buffer. Counting sinks don't need their
+    // emissions buffered and replayed — the partition output totals
+    // suffice. Records are written once, into their partition's shard,
+    // whose chunks are spliced into the round's buffer below.
     const unsigned reduce_threads =
         std::min(policy.EffectiveThreads(total_pairs), partitions);
     const bool direct = reduce_threads <= 1;
     const bool counts_only =
         !direct && sink != nullptr && sink->CountsOnly();
     const bool buffered = !direct && sink != nullptr && !counts_only;
-    const bool replay_records = !direct && records != nullptr;
+    const bool sharded_records = !direct && records != nullptr;
     std::vector<MapReduceMetrics> partition_metrics(partitions);
     std::vector<BufferingSink> partition_sinks(buffered ? partitions : 0);
-    std::vector<BufferingSink> partition_records(
-        replay_records ? partitions : 0);
+    std::vector<RecordBuffer> record_shards;
+    if (sharded_records) {
+      record_shards.reserve(partitions);
+      for (unsigned p = 0; p < partitions; ++p) {
+        record_shards.emplace_back(records->arity());
+      }
+    }
     // How partition p was grouped (one writer per slot: each partition is
     // drained exactly once): 1 = counting scatter, 2 = stable_sort,
     // 0 = spill merge or empty.
@@ -243,7 +253,7 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
                             : buffered ? &partition_sinks[p]
                                        : nullptr;
         InstanceSink* out_records =
-            replay_records ? &partition_records[p] : records;
+            sharded_records ? &record_shards[p] : records;
         if constexpr (kEncodable) {
           if (spilled[p]) {
             std::vector<SpillSource<Value>> sources;
@@ -269,15 +279,16 @@ class InMemoryShuffleBackend final : public ShuffleBackend<Input, Value> {
       }
     }, &metrics.shuffle);
 
-    // Ordered replay: partitions cover ascending disjoint key ranges, so
-    // merging (and flushing buffered emissions) in partition order
-    // reproduces the serial round's ascending-key order exactly.
+    // Ordered merge: partitions cover ascending disjoint key ranges, so
+    // merging metrics, flushing buffered instances and splicing record
+    // shards in partition order reproduces the serial round's
+    // ascending-key order exactly.
     for (unsigned p = 0; p < partitions; ++p) {
       metrics.MergePartitionShard(partition_metrics[p], partition_pairs[p]);
       metrics.shuffle.counting_partitions += partition_grouping[p] == 1;
       metrics.shuffle.sorted_partitions += partition_grouping[p] == 2;
       if (buffered) partition_sinks[p].FlushTo(sink);
-      if (replay_records) partition_records[p].FlushTo(records);
+      if (sharded_records) records->Splice(std::move(record_shards[p]));
     }
     if (counts_only) sink->EmitCount(metrics.outputs);
     return metrics;

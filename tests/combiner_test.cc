@@ -221,6 +221,23 @@ TEST(Combiner, TriangleCensusEquivalentWithAndWithoutCombining) {
   }
 }
 
+TEST(Combiner, TriangleCensusPerNodeTableCrossesTheProcessBoundary) {
+  // The count round's reducers run in forked children on the process
+  // backend; the per-node table reaches the caller through their emitted
+  // instances, so it equals the in-process one.
+  const Graph g = ErdosRenyi(300, 3000, 7);
+  const NodeOrder order = NodeOrder::ByDegree(g);
+  const TriangleCensusResult reference = TriangleCensus(g, order);
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{64} * 1024}) {
+    const ExecutionPolicy policy = ExecutionPolicy::Serial()
+                                       .WithBackend(BackendMode::kProcess, 2)
+                                       .WithBudget(budget);
+    const TriangleCensusResult result = TriangleCensus(g, order, policy);
+    EXPECT_EQ(result.per_node, reference.per_node) << Describe(policy);
+    EXPECT_EQ(result.job, reference.job) << Describe(policy);
+  }
+}
+
 TEST(Combiner, PolicySwitchDisablesDeclaredCombiner) {
   const RoundSpec<int, uint64_t> round = CountingRound(11);
   std::vector<int> inputs(1000);

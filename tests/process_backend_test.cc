@@ -20,11 +20,14 @@
 #include "core/strategy.h"
 #include "graph/generators.h"
 #include "graph/sample_graph.h"
+#include "mapreduce/codec.h"
 #include "mapreduce/engine.h"
 #include "mapreduce/execution_policy.h"
 #include "mapreduce/instance_sink.h"
 #include "mapreduce/job.h"
 #include "mapreduce/metrics.h"
+#include "mapreduce/process_backend.h"
+#include "mapreduce/worker_error.h"
 #include "tests/test_util.h"
 
 namespace smr {
@@ -227,10 +230,78 @@ TEST(ProcessBackend, RecordChannelCrossesTheProcessBoundaryInOrder) {
 
   EXPECT_TRUE(process_metrics == reference_metrics);
   EXPECT_EQ(process_sink.assignments(), reference_sink.assignments());
-  ASSERT_EQ(process_records.size(), thread_records.size());
-  EXPECT_TRUE(std::equal(process_records.nodes().begin(),
-                         process_records.nodes().end(),
-                         thread_records.nodes().begin()));
+  EXPECT_EQ(NodesOf(process_records), NodesOf(thread_records));
+}
+
+// ---------------------------------------------------------------------------
+// Instance and record frames: hand-built, decoded strictly
+// ---------------------------------------------------------------------------
+
+std::vector<unsigned char> NodeListFrame(FrameKind kind,
+                                         std::vector<uint64_t> nodes) {
+  std::vector<unsigned char> body;
+  AppendVarint(nodes.size(), &body);
+  for (const uint64_t node : nodes) AppendVarint(node, &body);
+  std::vector<unsigned char> wire;
+  AppendFrame(kind, body.data(), body.size(), &wire);
+  return wire;
+}
+
+bool DecodesAs(const std::vector<unsigned char>& wire, size_t arity,
+               std::vector<NodeId>* nodes) {
+  FrameView frame;
+  size_t consumed = 0;
+  DecodeFrameChecked(wire.data(), wire.size(), /*closed=*/true,
+                     kMaxFrameBytes, &frame, &consumed);
+  return process_internal::DecodeNodeList(frame, arity, nodes);
+}
+
+TEST(ProcessBackend, NodeFramesRejectANodeBeyondTheNodeIdRange) {
+  std::vector<NodeId> nodes;
+  ASSERT_TRUE(DecodesAs(NodeListFrame(FrameKind::kInstance, {7, 0xFFFFFFFF}),
+                        0, &nodes));
+  EXPECT_EQ(nodes, (std::vector<NodeId>{7, 0xFFFFFFFF}));
+  // Narrowed to a NodeId, 2^32 would read as node 0.
+  EXPECT_FALSE(DecodesAs(
+      NodeListFrame(FrameKind::kInstance, {7, uint64_t{1} << 32}), 0, &nodes));
+  EXPECT_FALSE(DecodesAs(
+      NodeListFrame(FrameKind::kRecord, {uint64_t{1} << 32, 1, 2}), 3,
+      &nodes));
+}
+
+TEST(ProcessBackend, RecordFramesOfTheWrongArityAreRejected) {
+  std::vector<NodeId> nodes;
+  ASSERT_TRUE(
+      DecodesAs(NodeListFrame(FrameKind::kRecord, {1, 2, 3}), 3, &nodes));
+  EXPECT_EQ(nodes, (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_FALSE(DecodesAs(NodeListFrame(FrameKind::kRecord, {1, 2}), 3, &nodes));
+}
+
+// A reducer that emits an arity-2 record on an arity-3 channel fails the
+// round — as a corrupt reduce frame on the process backend, as the
+// buffer's own arity check in process — instead of shifting every record
+// after it.
+TEST(ProcessBackend, WrongArityRecordFailsTheRound) {
+  CountSpec spec = CountRound(8, /*with_combiner=*/false);
+  spec.reducer = [](uint64_t key, std::span<const uint64_t>,
+                    ReduceContext* context) {
+    const NodeId record[2] = {static_cast<NodeId>(key),
+                              static_cast<NodeId>(key)};
+    context->EmitRecord(record);
+  };
+  const std::vector<uint32_t> inputs = Iota(100);
+  RecordBuffer records(3);
+  try {
+    RunRound(spec, std::span<const uint32_t>(inputs), nullptr, &records,
+             ExecutionPolicy::Serial().WithBackend(BackendMode::kProcess, 2));
+    FAIL() << "a wrong-arity record frame must fail the round";
+  } catch (const WorkerError& error) {
+    EXPECT_EQ(error.kind(), WorkerErrorKind::kCorruptFrame) << error.what();
+  }
+  EXPECT_EQ(records.size(), 0u);
+  EXPECT_THROW(RunRound(spec, std::span<const uint32_t>(inputs), nullptr,
+                        &records, ExecutionPolicy::WithThreads(2)),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -29,6 +29,13 @@ inline std::vector<InstanceKey> GroundTruthKeys(const SampleGraph& pattern,
   return KeysOf(sink, pattern);
 }
 
+/// A record buffer's nodes, concatenated across its chunks.
+inline std::vector<NodeId> NodesOf(const RecordBuffer& records) {
+  std::vector<NodeId> nodes;
+  records.nodes().ForEach([&](NodeId node) { nodes.push_back(node); });
+  return nodes;
+}
+
 /// Engine-free oracle for one declared round — the textbook map-reduce
 /// round the shuffle backends must reproduce: the mappers run in input
 /// order into one vector (folding repeated keys when `combine` and the
@@ -38,14 +45,14 @@ inline std::vector<InstanceKey> GroundTruthKeys(const SampleGraph& pattern,
 template <typename Input, typename Value>
 MapReduceMetrics ReferenceRound(
     const RoundSpec<Input, Value>& spec,
-    std::span<const std::type_identity_t<Input>> inputs, InstanceSink* sink,
+    const InputRuns<std::type_identity_t<Input>>& inputs, InstanceSink* sink,
     InstanceSink* records = nullptr, bool combine = true) {
   using Pair = std::pair<uint64_t, Value>;
   const typename Emitter<Value>::CombineFn* combiner =
       (combine && spec.combiner) ? &spec.combiner : nullptr;
   std::vector<Pair> pairs;
   Emitter<Value> emitter(&pairs, combiner);
-  for (const Input& input : inputs) spec.mapper(input, &emitter);
+  inputs.ForEach([&](const Input& input) { spec.mapper(input, &emitter); });
   std::stable_sort(pairs.begin(), pairs.end(),
                    [](const Pair& a, const Pair& b) {
                      return a.first < b.first;
